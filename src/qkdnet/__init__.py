@@ -29,7 +29,6 @@ from .security import (
     AttackSet,
     ExchangeTranscript,
     KeyAssignment,
-    OracleSizeError,
     Scheme,
     demo7_network,
     find_secure_path,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from random import Random
 from typing import Any, Sequence
@@ -38,6 +39,7 @@ from .security import (
     min_strongest_attack,
     multipath_exchange,
     sec,
+    security_oracle,
 )
 
 EXIT_OK = 0
@@ -105,6 +107,10 @@ def _attack_from(doc: dict[str, Any], args: argparse.Namespace, g: Network) -> A
         labels = [s for part in args.attack for s in part.split(",") if s]
     else:
         labels = (doc.get("security") or {}).get("attack") or []
+        if isinstance(labels, str):
+            labels = [labels]
+        elif not isinstance(labels, list):
+            raise ConfigError(f"security.attack must be a node label or a list of labels, got {labels!r}")
     attack = AttackSet(labels)
     attack.validate(g)
     return attack
@@ -146,14 +152,17 @@ def _commodities_from_doc(doc: dict[str, Any]) -> dict[tuple[str, str], Utility]
     return out
 
 
-def _sched_value(doc: dict[str, Any], args: argparse.Namespace, key: str, flag: str) -> Any:
+def _sched_value(doc: dict[str, Any], args: argparse.Namespace, key: str, flag: str) -> int | float:
     override = getattr(args, flag, None)
     if override is not None:
         return override
     sched = doc.get("schedule") or {}
     if key not in sched:
         raise ConfigError(f"config needs schedule.{key} (or --{flag.replace('_', '-')})")
-    return sched[key]
+    value = sched[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"schedule.{key} must be a finite number, got {value!r}")
+    return value
 
 
 def _seed(doc: dict[str, Any], args: argparse.Namespace) -> int:
@@ -255,14 +264,9 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
     attack = _attack_from(doc, args, g)
     if len(attack):
         view = transcript.eve_view(attack)
-        strongest = is_strongest(g, attack)
         print(f"attack: {_fmt_nodes(attack)} sees {len(view)} announcements/keys")
-        if kind == "m0":
-            verdict = "broken" if strongest else "perfectly secret"
-        else:
-            hit = all(p.interior & set(attack) for p in transcript.scheme.paths)
-            verdict = "broken" if hit else "perfectly secret"
-        print(f"verdict: {verdict}")
+        verdict = security_oracle(g, transcript.scheme or "m0", attack)
+        print(f"verdict: {verdict.replace('_', ' ')}")
     return EXIT_OK
 
 

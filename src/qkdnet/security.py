@@ -11,10 +11,12 @@ per-hop one-time-pad re-encryption. The whole-network scheme has every relay
 broadcast the XOR of all its incident edge keys, which lets Bob reconstruct
 the XOR of the keys incident to Alice.
 
-``security_oracle`` is the independent referee: it enumerates every key
-assignment (and, for the multi-path scheme, every coin of Alice) with one-bit
-keys and declares a scheme perfectly secret only if the eavesdropper's view
-is statistically independent of the secret.
+``security_oracle`` is the independent referee. Every view symbol and every
+secret of both schemes is an XOR of uniform key and coin bits, so the secret
+is perfectly secret iff its mask lies outside the GF(2) span of the view
+masks (N. Cai and R. W. Yeung, "Secure Network Coding", ISIT 2002). The test
+is Gaussian elimination on bitmasks and has no size limit. An exhaustive
+enumeration in the test suite referees it on small instances.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from functools import reduce
 from operator import xor
 from random import Random
 from typing import Iterable
-
-import numpy as np
 
 from .graph_core import (
     DirectLinkError,
@@ -43,7 +43,6 @@ __all__ = [
     "BROKEN",
     "ExchangeTranscript",
     "KeyAssignment",
-    "OracleSizeError",
     "PERFECTLY_SECRET",
     "Scheme",
     "demo7_network",
@@ -63,15 +62,6 @@ __all__ = [
 
 PERFECTLY_SECRET = "perfectly_secret"
 BROKEN = "broken"
-
-# Exhaustive enumeration limits for the oracle.
-_ORACLE_MAX_NODES = 7
-_ORACLE_MAX_BITS = 24
-
-
-class OracleSizeError(ValueError):
-    """The instance is too large for exhaustive enumeration."""
-
 
 @dataclass(frozen=True)
 class AttackSet:
@@ -373,16 +363,24 @@ def m0_exchange(g: Network, keys: KeyAssignment) -> ExchangeTranscript:
     )
 
 
-def _parity(assignments: np.ndarray, mask: int) -> np.ndarray:
-    return (np.bitwise_count(assignments & np.uint64(mask)) & 1).astype(np.uint64)
+def _reduce(basis: dict[int, int], mask: int) -> int:
+    """Reduce ``mask`` against a GF(2) basis keyed by each row's top bit."""
+    while mask:
+        row = basis.get(mask.bit_length() - 1)
+        if row is None:
+            return mask
+        mask ^= row
+    return 0
 
 
-def _uniform_given_view(view: np.ndarray, secret: np.ndarray) -> bool:
-    """True iff the secret bit is split 50/50 within every view value."""
-    _, inverse = np.unique(view, return_inverse=True)
-    total = np.bincount(inverse)
-    ones = np.bincount(inverse[secret == 1], minlength=len(total))
-    return bool(np.all(2 * ones == total))
+def _in_span(view_masks: Iterable[int], secret_mask: int) -> bool:
+    """True iff ``secret_mask`` is an XOR of some of ``view_masks``."""
+    basis: dict[int, int] = {}
+    for mask in view_masks:
+        mask = _reduce(basis, mask)
+        if mask:
+            basis[mask.bit_length() - 1] = mask
+    return _reduce(basis, secret_mask) == 0
 
 
 def security_oracle(
@@ -390,69 +388,42 @@ def security_oracle(
     scheme: "Scheme | str",
     attack: "AttackSet | Iterable[str]",
 ) -> str:
-    """Exhaustive secrecy referee for one-bit keys.
+    """Secrecy verdict by a GF(2) rank test; no size limit.
 
-    Enumerates every key assignment (and, for a multi-path scheme, every
-    message bit and every coin of Alice), computes the eavesdropper's exact
-    view of each outcome, and returns ``perfectly_secret`` iff the secret is
-    conditionally uniform given every reachable view. Independent of the
+    Every view symbol and the secret are XORs of uniform independent bits
+    (edge keys, and for a multi-path scheme the message and Alice's share
+    coins), written here as bitmasks over those bits. The secret is
+    independent of the view iff its mask lies outside the GF(2) span of the
+    view masks; otherwise the view determines it. Returns ``broken`` in
+    that case and ``perfectly_secret`` otherwise. Independent of the
     cut-based assessment: nothing here looks at connectivity.
     """
     a = _as_attack(g, attack)
-    if len(g.nodes) > _ORACLE_MAX_NODES:
-        raise OracleSizeError(
-            f"oracle handles at most {_ORACLE_MAX_NODES} nodes, got {len(g.nodes)}"
-        )
-    edge_ids = [e.id for e in g.edges]
-    index = {eid: i for i, eid in enumerate(edge_ids)}
-    n_edges = len(edge_ids)
-    compromised = sorted(insecure_edges(g, a))
+    index = {e.id: i for i, e in enumerate(g.edges)}
+    key_masks = [1 << index[eid] for eid in insecure_edges(g, a)]
 
     if isinstance(scheme, str):
         if scheme != "m0":
             raise ValueError(f"unknown scheme kind {scheme!r}")
-        total_bits = n_edges
-        if total_bits > _ORACLE_MAX_BITS:
-            raise OracleSizeError(f"enumeration needs 2^{total_bits} cases; limit is 2^{_ORACLE_MAX_BITS}")
         alice, bob = g.require_endpoints()
-        outcomes = np.arange(1 << total_bits, dtype=np.uint64)
-        view = np.zeros_like(outcomes)
-        width = 0
-        for v in g.nodes:
-            if v in (alice, bob):
-                continue
-            mask = _xor_all(1 << index[e.id] for e in g.incident[v])
-            view = (view << np.uint64(1)) | _parity(outcomes, mask)
-            width += 1
-        for eid in compromised:
-            view = (view << np.uint64(1)) | _parity(outcomes, 1 << index[eid])
+        announced = [
+            _xor_all(1 << index[e.id] for e in g.incident[v])
+            for v in g.nodes
+            if v not in (alice, bob)
+        ]
         secret_mask = _xor_all(1 << index[e.id] for e in g.incident[alice])
-        secret = _parity(outcomes, secret_mask)
-        return PERFECTLY_SECRET if _uniform_given_view(view, secret) else BROKEN
-
-    scheme.validate(g)
-    n_paths = len(scheme.paths)
-    total_bits = n_edges + n_paths  # keys, shares 2..m, message bit
-    if total_bits > _ORACLE_MAX_BITS:
-        raise OracleSizeError(f"enumeration needs 2^{total_bits} cases; limit is 2^{_ORACLE_MAX_BITS}")
-    view_bits = sum(len(p.hops) for p in scheme.paths) + len(compromised)
-    if view_bits > 63:
-        raise OracleSizeError(f"view packing needs {view_bits} bits; limit is 63")
-    outcomes = np.arange(1 << total_bits, dtype=np.uint64)
-    message_bit = 1 << (total_bits - 1)
-    share_masks = [0] * n_paths
-    for i in range(1, n_paths):
-        share_masks[i] = 1 << (n_edges + i - 1)
-    share_masks[0] = message_bit ^ _xor_all(share_masks[1:])
-    view = np.zeros_like(outcomes)
-    for i, path in enumerate(scheme.paths):
-        for edge in path.edges_in(g):
-            hop_mask = share_masks[i] ^ (1 << index[edge.id])
-            view = (view << np.uint64(1)) | _parity(outcomes, hop_mask)
-    for eid in compromised:
-        view = (view << np.uint64(1)) | _parity(outcomes, 1 << index[eid])
-    secret = _parity(outcomes, message_bit)
-    return PERFECTLY_SECRET if _uniform_given_view(view, secret) else BROKEN
+    else:
+        scheme.validate(g)
+        n_edges, n_paths = len(index), len(scheme.paths)
+        secret_mask = 1 << (n_edges + n_paths - 1)  # the message bit
+        coins = [1 << (n_edges + i) for i in range(n_paths - 1)]
+        share_masks = [secret_mask ^ _xor_all(coins), *coins]
+        announced = [
+            share_masks[i] ^ (1 << index[edge.id])
+            for i, path in enumerate(scheme.paths)
+            for edge in path.edges_in(g)
+        ]
+    return BROKEN if _in_span(announced + key_masks, secret_mask) else PERFECTLY_SECRET
 
 
 # Canonical demo topology: seven nodes, nine links, two internally disjoint

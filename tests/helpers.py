@@ -9,8 +9,11 @@ module may call the routines it is used to verify.
 import itertools
 from random import Random
 
+import numpy as np
+
 from qkdnet.graph_core import Edge, Network, Path
 from qkdnet.scheduler import LinkParams
+from qkdnet.security import BROKEN, PERFECTLY_SECRET, AttackSet
 
 
 # -- labeled graph enumeration over bitmasks ---------------------------------
@@ -146,6 +149,92 @@ def interior_subsets(g: Network, a: str, b: str):
     interior = sorted(v for v in g.nodes if v != a and v != b)
     for r in range(len(interior) + 1):
         yield from itertools.combinations(interior, r)
+
+
+# -- exhaustive secrecy referee ------------------------------------------------
+
+ENUM_MAX_NODES = 7
+ENUM_MAX_BITS = 24
+
+
+class EnumerationSizeError(ValueError):
+    """The instance is too large for exhaustive enumeration."""
+
+
+def _parity(outcomes: np.ndarray, mask: int) -> np.ndarray:
+    return (np.bitwise_count(outcomes & np.uint64(mask)) & 1).astype(np.uint64)
+
+
+def _uniform_given_view(view: np.ndarray, secret: np.ndarray) -> bool:
+    """True iff the secret bit is split 50/50 within every view value."""
+    _, inverse = np.unique(view, return_inverse=True)
+    total = np.bincount(inverse)
+    ones = np.bincount(inverse[secret == 1], minlength=len(total))
+    return bool(np.all(2 * ones == total))
+
+
+def enumerate_oracle(g: Network, scheme, attack) -> str:
+    """Exhaustive secrecy referee for one-bit keys.
+
+    Enumerates every key assignment (and, for a multi-path scheme, every
+    message bit and every coin of Alice), packs the eavesdropper's exact
+    view of each outcome into one integer, and returns ``perfectly_secret``
+    iff the secret is conditionally uniform given every reachable view.
+    Refuses instances beyond 7 nodes, 2^24 outcomes or a 63-bit view.
+    """
+    a = AttackSet(attack)
+    a.validate(g)
+    if len(g.nodes) > ENUM_MAX_NODES:
+        raise EnumerationSizeError(
+            f"enumeration handles at most {ENUM_MAX_NODES} nodes, got {len(g.nodes)}"
+        )
+    index = {e.id: i for i, e in enumerate(g.edges)}
+    n_edges = len(index)
+    compromised = [e.id for e in g.edges if e.u in a or e.v in a]
+
+    if isinstance(scheme, str):
+        if scheme != "m0":
+            raise ValueError(f"unknown scheme kind {scheme!r}")
+        total_bits = n_edges
+        if total_bits > ENUM_MAX_BITS:
+            raise EnumerationSizeError(f"enumeration needs 2^{total_bits} cases")
+        alice, bob = g.require_endpoints()
+        view_masks = []
+        for v in g.nodes:
+            if v not in (alice, bob):
+                mask = 0
+                for e in g.incident[v]:
+                    mask ^= 1 << index[e.id]
+                view_masks.append(mask)
+        secret_mask = 0
+        for e in g.incident[alice]:
+            secret_mask ^= 1 << index[e.id]
+    else:
+        scheme.validate(g)
+        n_paths = len(scheme.paths)
+        total_bits = n_edges + n_paths  # keys, shares 2..m, message bit
+        if total_bits > ENUM_MAX_BITS:
+            raise EnumerationSizeError(f"enumeration needs 2^{total_bits} cases")
+        secret_mask = 1 << (total_bits - 1)
+        share_masks = [secret_mask] + [0] * (n_paths - 1)
+        for i in range(1, n_paths):
+            share_masks[i] = 1 << (n_edges + i - 1)
+            share_masks[0] ^= share_masks[i]
+        view_masks = [
+            share_masks[i] ^ (1 << index[edge.id])
+            for i, path in enumerate(scheme.paths)
+            for edge in path.edges_in(g)
+        ]
+    view_masks += [1 << index[eid] for eid in compromised]
+    if len(view_masks) > 63:
+        raise EnumerationSizeError(f"view packing needs {len(view_masks)} bits; limit is 63")
+
+    outcomes = np.arange(1 << total_bits, dtype=np.uint64)
+    view = np.zeros_like(outcomes)
+    for mask in view_masks:
+        view = (view << np.uint64(1)) | _parity(outcomes, mask)
+    secret = _parity(outcomes, secret_mask)
+    return PERFECTLY_SECRET if _uniform_given_view(view, secret) else BROKEN
 
 
 # -- scheduling networks -------------------------------------------------------

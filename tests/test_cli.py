@@ -131,6 +131,20 @@ def test_exchange_m0_verdicts(fixture_cfg, capsys):
     assert "verdict: broken" in capsys.readouterr().out
 
 
+def test_exchange_verdict_on_routes_sharing_an_edge(fixture_cfg, capsys):
+    # both routes leave alice over k1, so p0:k1 ^ p1:k1 is the message itself
+    rc = cli.main(
+        ["exchange", fixture_cfg, "--scheme", "multipath", "--path", "a,c1,c2,b",
+         "--path", "a,c1,c4,c5,b", "--attack", "c3"]
+    )
+    assert rc == 0
+    out = capsys.readouterr().out
+    doc = yaml.safe_load(out.split("attack:")[0])
+    ann = doc["announcements"]
+    assert ann["p0:k1"] ^ ann["p1:k1"] == doc["alice_key"]
+    assert "verdict: broken" in out
+
+
 def test_exchange_multipath_to_file(fixture_cfg, tmp_path, capsys):
     out_file = tmp_path / "transcript.yaml"
     rc = cli.main(
@@ -248,3 +262,32 @@ def test_simulate_requires_schedule(tmp_path, capsys):
     p.write_text("alice: a\nbob: b\nedges:\n  - {id: e1, u: a, v: b, params: {K: 2, P_max: 2}}\n")
     assert cli.main(["simulate", str(p)]) == 1
     assert "commodities" in capsys.readouterr().err
+
+
+def _fixture_with(tmp_path, section, key, value):
+    doc = yaml.safe_load(FIXTURE_YAML)
+    doc[section][key] = value
+    p = tmp_path / "edited.yaml"
+    p.write_text(yaml.safe_dump(doc))
+    return str(p)
+
+
+@pytest.mark.parametrize("key", ["V", "R_max", "T"])
+@pytest.mark.parametrize("value", ["abc", True, [1], float("inf")])
+def test_simulate_rejects_non_numeric_schedule_value(tmp_path, capsys, key, value):
+    cfg = _fixture_with(tmp_path, "schedule", key, value)
+    assert cli.main(["simulate", cfg]) == 1
+    assert f"schedule.{key} must be a finite number" in capsys.readouterr().err
+
+
+def test_scalar_config_attack_is_one_label(tmp_path, capsys):
+    cfg = _fixture_with(tmp_path, "security", "attack", "c1")
+    assert cli.main(["assess", cfg]) == 0
+    assert "attack: c1\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", [5, {"c1": 1}])
+def test_non_list_config_attack_is_rejected(tmp_path, capsys, value):
+    cfg = _fixture_with(tmp_path, "security", "attack", value)
+    assert cli.main(["assess", cfg]) == 1
+    assert "security.attack must be" in capsys.readouterr().err

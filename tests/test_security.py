@@ -3,7 +3,9 @@
 The heaviest checks here enumerate every key assignment through the actual
 exchange code and test perfect secrecy empirically from the transcripts,
 then demand agreement with security_oracle's verdicts. That route shares no
-code with the oracle's vectorized internals.
+code with the oracle's rank test. The enumeration referee in helpers must
+also agree with the rank test verdict for verdict, and must still refuse
+what it cannot enumerate.
 """
 
 import itertools
@@ -14,14 +16,13 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
-from qkdnet.graph_core import Network, Path
+from qkdnet.graph_core import Network, Path, max_disjoint_paths
 from qkdnet.security import (
     BROKEN,
     PERFECTLY_SECRET,
     AttackSet,
     ExchangeTranscript,
     KeyAssignment,
-    OracleSizeError,
     Scheme,
     DEMO7_ROUTE_LONG,
     DEMO7_ROUTE_SHORT,
@@ -39,9 +40,16 @@ from qkdnet.security import (
 )
 
 from helpers import (
+    EnumerationSizeError,
+    brute_all_paths,
     brute_has_avoiding_path,
+    canonical_mask,
+    connected_masks,
+    enumerate_oracle,
     interior_subsets,
+    mask_connected,
     network_from_mask,
+    pair_list,
     random_connected_mask,
 )
 
@@ -261,13 +269,14 @@ def test_transcript_text_is_yaml(demo):
     assert set(doc["announcements"]) == set(tr.announcements)
 
 
-# -- oracle refusals ---------------------------------------------------------------
+# -- referee refusals: the rank test answers what enumeration cannot ----------------
 
 def test_oracle_refuses_large_networks():
     links = [(f"e{i}", f"n{i}", f"n{i + 1}") for i in range(7)]  # 8 nodes
     g = Network.from_links(links, alice="n0", bob="n7")
-    with pytest.raises(OracleSizeError):
-        security_oracle(g, "m0", [])
+    with pytest.raises(EnumerationSizeError):
+        enumerate_oracle(g, "m0", [])
+    assert security_oracle(g, "m0", []) == PERFECTLY_SECRET
 
 
 def test_oracle_refuses_wide_multipath_views():
@@ -280,8 +289,11 @@ def test_oracle_refuses_wide_multipath_views():
     ]
     g = Network.from_links(links, alice="n0", bob="n6")
     paths = [Path(("n0", m, "n6")) for m in ("n1", "n2", "n3", "n4")]
-    with pytest.raises(OracleSizeError):
-        security_oracle(g, Scheme(tuple(paths)), [])
+    scheme = Scheme(tuple(paths))
+    with pytest.raises(EnumerationSizeError):
+        enumerate_oracle(g, scheme, [])
+    assert security_oracle(g, scheme, []) == PERFECTLY_SECRET
+    assert security_oracle(g, scheme, ["n1", "n2", "n3", "n4"]) == BROKEN
 
 
 # -- oracle vs structure: fixture dichotomies ---------------------------------------
@@ -367,3 +379,94 @@ def test_m0_oracle_small_random_graphs():
             verdict = security_oracle(g, "m0", attack)
             expected = BROKEN if is_strongest(g, attack) else PERFECTLY_SECRET
             assert verdict == expected, (n, attack)
+
+
+# -- rank test vs enumeration referee --------------------------------------------------
+
+def _assert_agree(g, scheme, attack):
+    verdict = security_oracle(g, scheme, attack)
+    assert verdict == enumerate_oracle(g, scheme, attack), (g.edges, scheme, attack)
+    return verdict
+
+
+def _class_representatives(n):
+    seen = set()
+    for mask in connected_masks(n):
+        rep = canonical_mask(n, mask)
+        if rep not in seen:
+            seen.add(rep)
+            yield network_from_mask(n, rep)
+
+
+def test_rank_test_matches_referee_m0_small_graph_sweep():
+    """Every (graph class, attack) of the C3 sweep, up to 6 nodes."""
+    for n in range(2, 7):
+        for g in _class_representatives(n):
+            for attack in interior_subsets(g, "n0", f"n{n - 1}"):
+                _assert_agree(g, "m0", attack)
+
+
+def test_rank_test_matches_referee_disjoint_multipath_sweep():
+    """Every C4 instance: maximum disjoint path families on 4 and 5 nodes."""
+    for n in (4, 5):
+        for g in _class_representatives(n):
+            scheme = Scheme(max_disjoint_paths(g, "n0", f"n{n - 1}"))
+            for attack in interior_subsets(g, "n0", f"n{n - 1}"):
+                _assert_agree(g, scheme, attack)
+
+
+def _random_network(rng, n, m):
+    pairs = pair_list(n)
+    while True:
+        mask = sum(1 << idx for idx in rng.sample(range(len(pairs)), m))
+        if mask_connected(n, mask, pairs):
+            return network_from_mask(n, mask)
+
+
+@pytest.mark.parametrize("kind", ["m0", "multipath"])
+def test_rank_test_matches_referee_random_seven_node(kind):
+    """35 seeded 7-node instances per scheme, 2^14 to 2^20 outcomes each."""
+    rng = Random(2002)
+    for k in range(35):
+        width = 14 + k % 7
+        while True:
+            if kind == "m0":
+                g, scheme = _random_network(rng, 7, width), "m0"
+                break
+            g = _random_network(rng, 7, rng.randint(width - 6, min(width - 1, 21)))
+            scheme = Scheme(max_disjoint_paths(g, "n0", "n6"))
+            if len(g.edges) + len(scheme.paths) == width:
+                break
+        attack = [f"n{i}" for i in range(1, 6) if rng.random() < 0.5]
+        _assert_agree(g, scheme, attack)
+
+
+def test_rank_test_matches_referee_overlapping_paths():
+    """Schemes whose paths share an edge or a relay, where counting hit paths
+
+    is wrong: every scheme of two or three simple routes on demo7, and every
+    pair of overlapping routes on random 5-node graphs, under every attack.
+    """
+    demo = demo7_network()
+    routes = brute_all_paths(demo, "a", "b")
+    misjudged = 0
+    for size in (2, 3):
+        for paths in itertools.combinations(routes, size):
+            scheme = Scheme(paths)
+            for attack in interior_subsets(demo, "a", "b"):
+                verdict = _assert_agree(demo, scheme, attack)
+                hit_all = sec(attack, scheme) == 0
+                misjudged += verdict != (BROKEN if hit_all else PERFECTLY_SECRET)
+    assert misjudged > 0
+    # the two routes share edge k1, so p0:k1 ^ p1:k1 is the message itself
+    shared = Scheme.of(["a", "c1", "c2", "b"], ["a", "c1", "c4", "c5", "b"])
+    assert security_oracle(demo, shared, []) == BROKEN
+
+    rng = Random(5)
+    for _ in range(20):
+        g = network_from_mask(5, random_connected_mask(5, rng, p=0.6))
+        routes = brute_all_paths(g, "n0", "n4")
+        for paths in itertools.combinations(routes, 2):
+            if paths[0].interior & paths[1].interior:
+                for attack in interior_subsets(g, "n0", "n4"):
+                    _assert_agree(g, Scheme(paths), attack)
