@@ -10,7 +10,6 @@ from .graph_core import (
     enumerate_simple_paths,
     max_disjoint_paths,
     min_vertex_cut,
-    neighbors,
 )
 from .harness import Metrics, OracleResult, RunResult, Scenario, oracle_optimal, run, v_sweep
 from .scheduler import (

@@ -20,6 +20,7 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import dataclass
 from random import Random
 from typing import Any, Sequence
 
@@ -29,6 +30,7 @@ from .graph_core import DirectLinkError, Edge, Network
 from .harness import Scenario, oracle_optimal, run, v_sweep
 from .scheduler import LinkParams, NetworkState, SlotAudit, StepDecision, Utility
 from .security import (
+    PERFECTLY_SECRET,
     AttackSet,
     KeyAssignment,
     Scheme,
@@ -38,7 +40,6 @@ from .security import (
     m0_exchange,
     min_strongest_attack,
     multipath_exchange,
-    sec,
     security_oracle,
 )
 
@@ -51,29 +52,68 @@ class ConfigError(ValueError):
     pass
 
 
-def _load_doc(path: str) -> dict[str, Any]:
-    try:
-        with open(path) as fh:
-            doc = yaml.safe_load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read config: {e}") from e
-    except yaml.YAMLError as e:
-        raise ConfigError(f"malformed YAML: {e}") from e
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a YAML mapping")
-    return doc
+@dataclass(frozen=True)
+class _Config:
+    """A YAML config, every section checked once, at load, with the flags
+
+    that override it applied. ``doc`` is the mapping as read, which
+    ``--dump-config`` echoes. A key that is absent or null takes its
+    default; any other value must have the documented shape.
+    """
+
+    doc: dict[str, Any]
+    network: Network
+    seed: int
+    kind: str
+    n_bits: int
+    scheme: Scheme | None
+    attack: AttackSet
+    commodities: dict[tuple[str, str], Utility]
+    schedule: dict[str, Any]
 
 
-def _network_from_doc(doc: dict[str, Any]) -> Network:
-    raw_edges = doc.get("edges")
+def _label(value: Any, what: str) -> str:
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ConfigError(f"{what} must be a node label, got {value!r}")
+    return str(value)
+
+
+def _labels(value: Any, what: str) -> list[str]:
+    """A list of labels, or one string of comma separated labels as the flags take."""
+    if isinstance(value, str):
+        return value.split(",")
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a node label or a list of labels, got {value!r}")
+    return [_label(v, what) for v in value]
+
+
+def _number(value: Any, what: str, integer: bool = False) -> int | float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    if integer and not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _shaped(doc: dict[str, Any], key: str, kind: type, what: str) -> Any:
+    """``doc[key]``, an empty ``kind`` when absent or null, else it must be a ``kind``."""
+    value = doc.get(key)
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        raise ConfigError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _network(doc: dict[str, Any]) -> Network:
+    raw_edges = _shaped(doc, "edges", list, "edges")
     if not raw_edges:
         raise ConfigError("config needs a non-empty 'edges' list")
     edges = []
     for item in raw_edges:
-        try:
-            eid, u, v = item["id"], item["u"], item["v"]
-        except (TypeError, KeyError) as e:
-            raise ConfigError(f"edge entries need id/u/v: {item!r}") from e
+        if not isinstance(item, dict) or not {"id", "u", "v"} <= item.keys():
+            raise ConfigError(f"edge entries need id/u/v: {item!r}")
+        eid = _label(item["id"], "edge id")
         lp = None
         if "params" in item:
             p = item["params"]
@@ -83,66 +123,18 @@ def _network_from_doc(doc: dict[str, Any]) -> Network:
                 )
             except (TypeError, KeyError, ValueError) as e:
                 raise ConfigError(f"bad link params on edge {eid!r}: {e}") from e
-        edges.append(Edge(str(eid), str(u), str(v), link_params=lp))
-    nodes = {e.u for e in edges} | {e.v for e in edges} | set(doc.get("nodes", ()))
-    try:
-        return Network(
-            nodes=tuple(sorted(nodes)),
-            edges=tuple(sorted(edges, key=lambda e: e.id)),
-            alice=doc.get("alice"),
-            bob=doc.get("bob"),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+        edges.append(Edge(eid, _label(item["u"], "edge u"), _label(item["v"], "edge v"), link_params=lp))
+    nodes = {e.u for e in edges} | {e.v for e in edges}
+    nodes.update(_label(v, "nodes entries") for v in _shaped(doc, "nodes", list, "nodes"))
+    alice, bob = (None if doc.get(k) is None else _label(doc[k], k) for k in ("alice", "bob"))
+    return Network(nodes=tuple(nodes), edges=tuple(edges), alice=alice, bob=bob)
 
 
-def _require_endpoints(g: Network) -> tuple[str, str]:
-    if g.alice is None or g.bob is None:
-        raise ConfigError("this command needs 'alice' and 'bob' in the config")
-    return g.alice, g.bob
-
-
-def _attack_from(doc: dict[str, Any], args: argparse.Namespace, g: Network) -> AttackSet:
-    if getattr(args, "attack", None):
-        labels = [s for part in args.attack for s in part.split(",") if s]
-    else:
-        labels = (doc.get("security") or {}).get("attack") or []
-        if isinstance(labels, str):
-            labels = [labels]
-        elif not isinstance(labels, list):
-            raise ConfigError(f"security.attack must be a node label or a list of labels, got {labels!r}")
-    attack = AttackSet(labels)
-    attack.validate(g)
-    return attack
-
-
-def _paths_from(doc: dict[str, Any], args: argparse.Namespace) -> list[list[str]] | None:
-    if getattr(args, "path", None):
-        return [p.split(",") for p in args.path]
-    raw = (doc.get("security") or {}).get("paths")
-    if raw:
-        return [list(p) for p in raw]
-    return None
-
-
-def _scheme_from(doc: dict[str, Any], args: argparse.Namespace, g: Network) -> Scheme | None:
-    paths = _paths_from(doc, args)
-    if paths is None:
-        return None
-    scheme = Scheme.of(*paths)
-    scheme.validate(g)
-    return scheme
-
-
-def _commodities_from_doc(doc: dict[str, Any]) -> dict[tuple[str, str], Utility]:
-    sched = doc.get("schedule") or {}
-    raw = sched.get("commodities")
-    if not raw:
-        raise ConfigError("config needs schedule.commodities")
+def _commodities(raw: list[Any]) -> dict[tuple[str, str], Utility]:
     out: dict[tuple[str, str], Utility] = {}
     for item in raw:
         try:
-            pair = (str(item["src"]), str(item["dst"]))
+            pair = (_label(item["src"], "commodity src"), _label(item["dst"], "commodity dst"))
             utility = Utility(item.get("utility", "linear"), item.get("w", 1))
         except (TypeError, KeyError, ValueError) as e:
             raise ConfigError(f"bad commodity entry {item!r}: {e}") from e
@@ -152,27 +144,70 @@ def _commodities_from_doc(doc: dict[str, Any]) -> dict[tuple[str, str], Utility]
     return out
 
 
-def _sched_value(doc: dict[str, Any], args: argparse.Namespace, key: str, flag: str) -> int | float:
+def _load_config(args: argparse.Namespace) -> _Config:
+    """Read ``args.config``, check every section, and apply the seed, attack and path flags."""
+    try:
+        with open(args.config) as fh:
+            doc = yaml.safe_load(fh)
+    except OSError as e:
+        raise ConfigError(f"cannot read config: {e}") from e
+    except yaml.YAMLError as e:
+        raise ConfigError(f"malformed YAML: {e}") from e
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a YAML mapping")
+    security = _shaped(doc, "security", dict, "security")
+    schedule = _shaped(doc, "schedule", dict, "schedule")
+    kind = "m0" if security.get("scheme") is None else security["scheme"]
+    if kind not in ("m0", "multipath"):
+        raise ConfigError(f"unknown scheme {kind!r} (expected m0 or multipath)")
+    for key in ("V", "R_max", "T"):
+        if schedule.get(key) is not None:
+            _number(schedule[key], f"schedule.{key}", integer=key == "T")
+    for v in _shaped(schedule, "V_values", list, "schedule.V_values"):
+        _number(v, "schedule.V_values entries", integer=True)
+    if schedule.get("tie_mode") not in (None, "random", "lexicographic"):
+        raise ConfigError(f"schedule.tie_mode must be random or lexicographic, got {schedule['tie_mode']!r}")
+    seed = 0 if doc.get("seed") is None else _number(doc["seed"], "seed", integer=True)
+    n_bits = 16 if security.get("n_bits") is None else _number(security["n_bits"], "security.n_bits", integer=True)
+    labels = [] if security.get("attack") is None else _labels(security["attack"], "security.attack")
+    routes = [_labels(p, "security.paths entries") for p in _shaped(security, "paths", list, "security.paths")]
+    if getattr(args, "attack", None):
+        labels = [s for part in args.attack for s in part.split(",") if s]
+    if getattr(args, "path", None):
+        routes = [p.split(",") for p in args.path]
+
+    network = _network(doc)
+    attack = AttackSet(labels)
+    attack.validate(network)
+    scheme = Scheme.of(*routes) if routes else None
+    if scheme is not None:
+        scheme.validate(network)
+    return _Config(
+        doc=doc,
+        network=network,
+        seed=seed if args.seed is None else args.seed,
+        kind=kind,
+        n_bits=n_bits,
+        scheme=scheme,
+        attack=attack,
+        commodities=_commodities(_shaped(schedule, "commodities", list, "schedule.commodities")),
+        schedule=schedule,
+    )
+
+
+def _require_commodities(cfg: _Config) -> dict[tuple[str, str], Utility]:
+    if not cfg.commodities:
+        raise ConfigError("config needs schedule.commodities")
+    return cfg.commodities
+
+
+def _sched_value(cfg: _Config, args: argparse.Namespace, key: str, flag: str) -> int | float:
     override = getattr(args, flag, None)
     if override is not None:
         return override
-    sched = doc.get("schedule") or {}
-    if key not in sched:
+    if cfg.schedule.get(key) is None:
         raise ConfigError(f"config needs schedule.{key} (or --{flag.replace('_', '-')})")
-    value = sched[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"schedule.{key} must be a finite number, got {value!r}")
-    return value
-
-
-def _seed(doc: dict[str, Any], args: argparse.Namespace) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return int(doc.get("seed", 0))
-
-
-def _dump_effective(doc: dict[str, Any]) -> None:
-    sys.stdout.write(yaml.safe_dump(doc, sort_keys=True, default_flow_style=False))
+    return cfg.schedule[key]
 
 
 def _fmt_nodes(nodes) -> str:
@@ -183,27 +218,19 @@ def _fmt_path(path) -> str:
     return "(" + ",".join(path.nodes) + ")"
 
 
-def _cmd_assess(args: argparse.Namespace) -> int:
-    doc = _load_doc(args.config)
-    g = _network_from_doc(doc)
-    a, b = _require_endpoints(g)
-    attack = _attack_from(doc, args, g)
+def _cmd_assess(cfg: _Config, args: argparse.Namespace) -> int:
+    g = cfg.network
+    a, b = g.require_endpoints()
+    attack = cfg.attack
     print(f"network: {len(g.nodes)} nodes, {len(g.edges)} edges, endpoints {a}-{b}")
     print(f"attack: {_fmt_nodes(attack) or '(none)'}")
     bad = insecure_edges(g, attack)
     print(f"insecure edges: {_fmt_nodes(bad) or '(none)'} ({len(bad)} of {len(g.edges)})")
-    try:
-        strongest = is_strongest(g, attack)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    scheme = _scheme_from(doc, args, g)
+    strongest = is_strongest(g, attack)
     if strongest:
         print("strongest attack: yes")
         print("communication impossible: every route touches the attack")
         print("secure path: none")
-        if scheme is not None:
-            print(f"scheme sec={sec(attack, scheme)}")
-        print("sec=0")
     else:
         print("strongest attack: no")
         path = find_secure_path(g, attack)
@@ -212,16 +239,16 @@ def _cmd_assess(args: argparse.Namespace) -> int:
             print(f"secure path: direct link {a}-{b}")
         else:
             print(f"secure path: {_fmt_path(path)}")
-        if scheme is not None:
-            print(f"scheme sec={sec(attack, scheme)}")
-        print("sec=1")
+    if cfg.scheme is not None:
+        # the GF(2) verdict, not the path hit count: routes may share edges
+        print(f"scheme sec={int(security_oracle(g, cfg.scheme, attack) == PERFECTLY_SECRET)}")
+    print(f"sec={int(not strongest)}")
     return EXIT_OK
 
 
-def _cmd_attack(args: argparse.Namespace) -> int:
-    doc = _load_doc(args.config)
-    g = _network_from_doc(doc)
-    a, b = _require_endpoints(g)
+def _cmd_attack(cfg: _Config, args: argparse.Namespace) -> int:
+    g = cfg.network
+    a, b = g.require_endpoints()
     try:
         attack = min_strongest_attack(g)
     except DirectLinkError:
@@ -232,19 +259,17 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_exchange(args: argparse.Namespace) -> int:
-    doc = _load_doc(args.config)
-    g = _network_from_doc(doc)
-    _require_endpoints(g)
-    sec_doc = doc.get("security") or {}
-    kind = args.scheme or sec_doc.get("scheme") or "m0"
-    n_bits = args.n_bits or int(sec_doc.get("n_bits", 16))
-    rng = Random(_seed(doc, args))
+def _cmd_exchange(cfg: _Config, args: argparse.Namespace) -> int:
+    g = cfg.network
+    g.require_endpoints()
+    kind = args.scheme or cfg.kind
+    n_bits = args.n_bits or cfg.n_bits
+    rng = Random(cfg.seed)
     keys = KeyAssignment.random(g, n_bits, rng)
     if kind == "m0":
         transcript = m0_exchange(g, keys)
-    elif kind == "multipath":
-        scheme = _scheme_from(doc, args, g)
+    else:
+        scheme = cfg.scheme
         if scheme is None:
             raise ConfigError("multipath exchange needs security.paths (or --path)")
         if args.message is not None:
@@ -252,8 +277,6 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
         else:
             message = rng.getrandbits(n_bits)
         transcript = multipath_exchange(g, scheme, message, keys, rng)
-    else:
-        raise ConfigError(f"unknown scheme {kind!r} (expected m0 or multipath)")
     text = transcript.to_text()
     if args.out:
         with open(args.out, "w") as fh:
@@ -261,7 +284,7 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
         print(f"transcript written to {args.out}")
     else:
         sys.stdout.write(text)
-    attack = _attack_from(doc, args, g)
+    attack = cfg.attack
     if len(attack):
         view = transcript.eve_view(attack)
         print(f"attack: {_fmt_nodes(attack)} sees {len(view)} announcements/keys")
@@ -307,18 +330,13 @@ class _CsvObserver:
             )
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    doc = _load_doc(args.config)
-    g = _network_from_doc(doc)
-    commodities = _commodities_from_doc(doc)
-    V = _sched_value(doc, args, "V", "v")
-    R_max = _sched_value(doc, args, "R_max", "r_max")
-    T = int(_sched_value(doc, args, "T", "horizon"))
-    tie_mode = args.tie_mode or (doc.get("schedule") or {}).get("tie_mode", "random")
-    try:
-        scenario = Scenario.build(g, commodities, V, R_max, T, _seed(doc, args), tie_mode)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+def _cmd_simulate(cfg: _Config, args: argparse.Namespace) -> int:
+    commodities = _require_commodities(cfg)
+    V = _sched_value(cfg, args, "V", "v")
+    R_max = _sched_value(cfg, args, "R_max", "r_max")
+    T = _sched_value(cfg, args, "T", "horizon")
+    tie_mode = args.tie_mode or cfg.schedule.get("tie_mode") or "random"
+    scenario = Scenario.build(cfg.network, commodities, V, R_max, T, cfg.seed, tie_mode)
 
     observer = None
     csv_fh = None
@@ -350,23 +368,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    doc = _load_doc(args.config)
-    g = _network_from_doc(doc)
-    commodities = _commodities_from_doc(doc)
-    R_max = _sched_value(doc, args, "R_max", "r_max")
-    T = int(_sched_value(doc, args, "T", "horizon"))
+def _cmd_sweep(cfg: _Config, args: argparse.Namespace) -> int:
+    commodities = _require_commodities(cfg)
+    R_max = _sched_value(cfg, args, "R_max", "r_max")
+    T = _sched_value(cfg, args, "T", "horizon")
     if args.v_values:
         v_values = [int(s) for s in args.v_values.split(",")]
     else:
-        raw = (doc.get("schedule") or {}).get("V_values")
-        if not raw:
+        v_values = cfg.schedule.get("V_values")
+        if not v_values:
             raise ConfigError("sweep needs --v-values or schedule.V_values")
-        v_values = [int(x) for x in raw]
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [_seed(doc, args)]
-    tie_mode = args.tie_mode or (doc.get("schedule") or {}).get("tie_mode", "random")
+    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.seed]
+    tie_mode = args.tie_mode or cfg.schedule.get("tie_mode") or "random"
     try:
-        rows = v_sweep(g, commodities, R_max, T, v_values, seeds, tie_mode)
+        rows = v_sweep(cfg.network, commodities, R_max, T, v_values, seeds, tie_mode)
     except RuntimeError as e:
         print(f"audit failure: {e}", file=sys.stderr)
         return EXIT_AUDIT_FAILED
@@ -383,15 +398,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK if all_pass else EXIT_AUDIT_FAILED
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    doc = _load_doc(args.config)
-    g = _network_from_doc(doc)
-    commodities = _commodities_from_doc(doc)
-    R_max = _sched_value(doc, args, "R_max", "r_max")
-    try:
-        res = oracle_optimal(g, commodities, R_max)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+def _cmd_oracle(cfg: _Config, args: argparse.Namespace) -> int:
+    commodities = _require_commodities(cfg)
+    R_max = _sched_value(cfg, args, "R_max", "r_max")
+    res = oracle_optimal(cfg.network, commodities, R_max)
     print(f"U*={res.value:g}")
     for pair, rate in sorted(res.rates.items()):
         print(f"r {pair[0]}>{pair[1]} = {rate:g}")
@@ -461,15 +471,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        cfg = _load_config(args)
         if args.dump_config:
-            doc = _load_doc(args.config)
-            _network_from_doc(doc)  # validate before echoing
-            _dump_effective(doc)
+            sys.stdout.write(yaml.safe_dump(cfg.doc, sort_keys=True, default_flow_style=False))
             return EXIT_OK
-        return args.func(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
+        return args.func(cfg, args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

@@ -29,7 +29,6 @@ __all__ = [
     "enumerate_simple_paths",
     "max_disjoint_paths",
     "min_vertex_cut",
-    "neighbors",
 ]
 
 
@@ -43,16 +42,14 @@ class DirectLinkError(ValueError):
 
 @dataclass(frozen=True)
 class Edge:
-    """Single undirected link. ``key_bits`` and ``link_params`` are optional
+    """Single undirected link. ``link_params`` is an optional payload for the
 
-    payloads used by the exchange simulators and the scheduler respectively;
-    the graph algorithms ignore them.
+    scheduler; the graph algorithms ignore it.
     """
 
     id: str
     u: str
     v: str
-    key_bits: int | None = None
     link_params: "LinkParams | None" = None
 
     def __post_init__(self) -> None:
@@ -196,12 +193,6 @@ class Network:
     def degree(self, v: str) -> int:
         self.require_node(v)
         return len(self.adjacency[v])
-
-
-def neighbors(g: Network, v: str) -> tuple[str, ...]:
-    """Nodes adjacent to ``v``, sorted."""
-    g.require_node(v)
-    return g.adjacency[v]
 
 
 def enumerate_simple_paths(

@@ -24,10 +24,10 @@ tolerance instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from random import Random
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .graph_core import Edge, Network
 
@@ -47,7 +47,6 @@ __all__ = [
     "initial_state",
     "key_consumption",
     "key_gen_decision",
-    "link_weights",
     "lyapunov",
     "random_feasible_decision",
     "schedule_commodity",
@@ -120,8 +119,10 @@ class ControlParams:
 
     ``theta`` is the per-edge key-store target ``delta*beta*V + P_max``;
     ``gamma`` the scheduling margin ``R_max + d_max*mu_max``; ``B`` and
-    ``B_tilde`` the drift and utility-gap constants. ``exact`` marks runs
-    whose quantities are all integers, enabling exact audits.
+    ``B_tilde`` the drift and utility-gap constants. ``B2`` is ``2*B``, the
+    form the drift audit compares in, and an integer in exact mode.
+    ``exact`` marks runs whose quantities are all integers, enabling exact
+    audits.
     """
 
     V: Num
@@ -135,6 +136,7 @@ class ControlParams:
     n_edges: int
     P_cap: Num
     K_max: Num
+    B2: Num
     B: float
     B_tilde: float
     exact: bool
@@ -164,7 +166,8 @@ class ControlParams:
         n, m = len(network.nodes), len(network.edges)
         P_cap = max(lp.P_max for lp in links.values())
         K_max = max(lp.K for lp in links.values())
-        B = n * n * (1.5 * d_max**2 * mu_max**2 + R_max**2) + m / 2 * (P_cap + K_max) ** 2
+        B2 = n * n * (3 * d_max**2 * mu_max**2 + 2 * R_max**2) + m * (P_cap + K_max) ** 2
+        B = B2 / 2
         B_tilde = B + n * n * gamma * d_max * mu_max
         ints = [V, R_max, beta, mu_max, gamma, P_cap, K_max, *theta.values()]
         exact = (
@@ -185,6 +188,7 @@ class ControlParams:
             n_edges=m,
             P_cap=P_cap,
             K_max=K_max,
+            B2=B2,
             B=B,
             B_tilde=B_tilde,
             exact=exact,
@@ -290,19 +294,34 @@ def initial_state(cfg: ScheduleConfig) -> NetworkState:
     return NetworkState(0, Q, E)
 
 
+def _bounds_violation(state: NetworkState, params: ControlParams) -> str | None:
+    """The first queue or key store outside its certified range, described
+
+    by entity, value and bound, or None when the state is inside them all.
+    Destination queues must be exactly zero.
+    """
+    tol = 0 if params.exact else 1e-9
+    q_hi = params.queue_bound
+    for (node, dest), q in state.Q.items():
+        if node == dest:
+            if q != 0:
+                return f"destination queue ({node},{dest}) = {q}, not 0, entering slot {state.t}"
+        elif q < -tol or q > q_hi + tol:
+            return f"queue ({node},{dest}) = {q} outside [0, {q_hi}] entering slot {state.t}"
+    for eid, e in state.E.items():
+        e_hi = params.store_bound(eid)
+        if e < -tol or e > e_hi + tol:
+            return f"key store {eid} = {e} outside [0, {e_hi}] entering slot {state.t}"
+    return None
+
+
 def within_certified_bounds(state: NetworkState, params: ControlParams) -> bool:
     """True iff every queue and key store sits inside its certified range.
 
     The controller preserves this set; decisions injected from outside the
     controller can leave it, after which the bounds are no longer promised.
     """
-    tol = 0 if params.exact else 1e-9
-    q_hi = params.queue_bound
-    if any(q < -tol or q > q_hi + tol for q in state.Q.values()):
-        return False
-    return all(
-        -tol <= e <= params.store_bound(eid) + tol for eid, e in state.E.items()
-    )
+    return _bounds_violation(state, params) is None
 
 
 def lyapunov(state: NetworkState, params: ControlParams) -> float:
@@ -331,28 +350,22 @@ def admit(Q: Num, V: Num, utility: Utility, R_max: Num) -> Num:
     return min(max(r, 0), R_max)
 
 
-def link_weights(
-    state: NetworkState, cfg: ScheduleConfig
-) -> tuple[dict[tuple[str, str, str], Num], dict[str, Num]]:
-    """Backlog differentials per (sender, receiver, destination), floored at
+def _edge_weights(
+    edge: Edge, Q: Mapping[tuple[str, str], Num], dests: tuple[str, ...], gamma: Num
+) -> dict[tuple[str, str, str], Num]:
+    """Backlog differential per (sender, receiver, destination) on one edge,
 
-    zero after subtracting the margin gamma, plus each edge's best weight.
+    less the margin gamma and floored at zero. Keys come in candidate order
+    for ``schedule_commodity``: the lower label sends first, destinations
+    follow ``dests``.
     """
-    Q = state.Q
-    gamma = cfg.params.gamma
-    per_direction: dict[tuple[str, str, str], Num] = {}
-    per_edge: dict[str, Num] = {}
-    for e in cfg.network.edges:
-        best = 0
-        for src, dst in ((e.u, e.v), (e.v, e.u)):
-            for dest in cfg.dests:
-                w = Q[(src, dest)] - Q[(dst, dest)] - gamma
-                w = w if w > 0 else 0
-                per_direction[(src, dst, dest)] = w
-                if w > best:
-                    best = w
-        per_edge[e.id] = best
-    return per_direction, per_edge
+    lo, hi = (edge.u, edge.v) if edge.u < edge.v else (edge.v, edge.u)
+    weights: dict[tuple[str, str, str], Num] = {}
+    for src, dst in ((lo, hi), (hi, lo)):
+        for dest in dests:
+            w = Q[(src, dest)] - Q[(dst, dest)] - gamma
+            weights[(src, dst, dest)] = w if w > 0 else 0
+    return weights
 
 
 def key_consumption(W: Num, E: Num, theta: Num, lp: LinkParams) -> Num:
@@ -375,29 +388,22 @@ def key_consumption(W: Num, E: Num, theta: Num, lp: LinkParams) -> Num:
 
 
 def schedule_commodity(
-    edge: Edge,
     weights: Mapping[tuple[str, str, str], Num],
     mu: Num,
     rng: Random,
     tie_mode: str = "random",
 ) -> ServedFlow | None:
-    """Pick the (direction, destination) with the largest positive weight and
+    """Pick the (sender, receiver, destination) with the largest positive
 
-    give it the whole rate. Ties go to a seeded random pick, or to the first
-    candidate in (sender, receiver, destination) order in lexicographic mode.
+    weight and give it the whole rate. ``weights`` holds one edge's
+    candidates in order; ties go to a seeded random pick among them, or to
+    the first tied candidate in lexicographic mode.
     """
     if mu <= 0:
         return None
-    lo, hi = sorted((edge.u, edge.v))
-    candidates = [
-        key
-        for src, dst in ((lo, hi), (hi, lo))
-        for key in sorted(k for k in weights if k[0] == src and k[1] == dst)
-    ]
     best = 0
     ties = []
-    for key in candidates:
-        w = weights[key]
+    for key, w in weights.items():
         if w > best:
             best, ties = w, [key]
         elif w == best and w > 0:
@@ -412,7 +418,6 @@ def schedule_commodity(
 def _controller_decision(state: NetworkState, cfg: ScheduleConfig, rng: Random) -> StepDecision:
     params = cfg.params
     Q, E = state.Q, state.E
-    gamma = params.gamma
     S = {eid: key_gen_decision(E[eid], th) for eid, th in params.theta.items()}
     R = {
         pair: admit(Q[pair], params.V, cfg.commodities[pair], params.R_max)
@@ -422,17 +427,9 @@ def _controller_decision(state: NetworkState, cfg: ScheduleConfig, rng: Random) 
     served: dict[str, ServedFlow] = {}
     for e in cfg.network.edges:
         lp = cfg.links[e.id]
-        weights: dict[tuple[str, str, str], Num] = {}
-        best = 0
-        for src, dst in ((e.u, e.v), (e.v, e.u)):
-            for dest in cfg.dests:
-                w = Q[(src, dest)] - Q[(dst, dest)] - gamma
-                w = w if w > 0 else 0
-                weights[(src, dst, dest)] = w
-                if w > best:
-                    best = w
-        P[e.id] = key_consumption(best, E[e.id], params.theta[e.id], lp)
-        flow = schedule_commodity(e, weights, lp.rate(P[e.id]), rng, cfg.tie_mode)
+        weights = _edge_weights(e, Q, cfg.dests, params.gamma)
+        P[e.id] = key_consumption(max(weights.values()), E[e.id], params.theta[e.id], lp)
+        flow = schedule_commodity(weights, lp.rate(P[e.id]), rng, cfg.tie_mode)
         if flow is not None:
             served[e.id] = flow
     return StepDecision(S=S, R=R, P=P, served=served)
@@ -448,8 +445,9 @@ def step(
 
     Transfers move real data only: an edge whose sender holds less than the
     nominal rate moves what exists (dummy filler pads the wire, so keys are
-    spent at nominal). Arrivals at a commodity's destination leave the
-    system immediately; destination queues stay pinned at zero.
+    spent at nominal), and only such a flow is rebuilt with its smaller
+    ``actual``. Arrivals at a commodity's destination leave the system
+    immediately; destination queues stay pinned at zero.
 
     The certified queue and store bounds are a preservation property: a
     controller step from a state inside them must land inside them, and such
@@ -462,25 +460,23 @@ def step(
     check_bounds = decision is None and within_certified_bounds(state, params)
     if decision is None:
         decision = _controller_decision(state, cfg, rng)
-    links = cfg.links
 
     new_E: dict[str, Num] = {}
     min_margin: Num = math.inf
-    for eid, lp in links.items():
-        spend = decision.P[eid]
-        margin = state.E[eid] - spend
+    for eid, lp in cfg.links.items():
+        margin = state.E[eid] - decision.P[eid]
         if margin < min_margin:
             min_margin = margin
         if decision.injected and margin < 0:
             raise ValueError(f"injected decision overdraws key store on edge {eid!r}")
-        new_E[eid] = state.E[eid] - spend + decision.S[eid] * lp.K
+        new_E[eid] = margin + decision.S[eid] * lp.K
 
     new_Q = dict(state.Q)
     delivered: dict[str, Num] = {dest: 0 for dest in cfg.dests}
-    actuals: dict[str, ServedFlow] = {}
+    served = decision.served
     # sequential allocation in edge-id order: senders can never go negative
-    for eid in sorted(decision.served):
-        flow = decision.served[eid]
+    for eid in sorted(served):
+        flow = served[eid]
         avail = new_Q[(flow.src, flow.dest)]
         actual = flow.nominal if flow.nominal <= avail else avail
         new_Q[(flow.src, flow.dest)] = avail - actual
@@ -488,30 +484,20 @@ def step(
             delivered[flow.dest] += actual
         else:
             new_Q[(flow.dst, flow.dest)] += actual
-        actuals[eid] = replace(flow, actual=actual)
+        if actual != flow.actual:
+            if served is decision.served:
+                served = dict(served)
+            served[eid] = replace(flow, actual=actual)
     for pair, r in decision.R.items():
         new_Q[pair] += r
+    if served is not decision.served:
+        decision = replace(decision, served=served)
 
-    decision = replace(decision, served=actuals)
     new_state = NetworkState(state.t + 1, new_Q, new_E)
-
     if check_bounds:
-        q_hi = params.queue_bound
-        tol = 0 if params.exact else 1e-9
-        for (node, dest), q in new_Q.items():
-            if node == dest:
-                if q != 0:
-                    raise StateInvariantError(f"destination queue ({node},{dest}) = {q}")
-            elif q < -tol or q > q_hi + tol:
-                raise StateInvariantError(
-                    f"queue ({node},{dest}) = {q} outside [0, {q_hi}] at slot {state.t}"
-                )
-        for eid, e_val in new_E.items():
-            e_hi = params.store_bound(eid)
-            if e_val < -tol or e_val > e_hi + tol:
-                raise StateInvariantError(
-                    f"key store {eid} = {e_val} outside [0, {e_hi}] at slot {state.t}"
-                )
+        violation = _bounds_violation(new_state, params)
+        if violation is not None:
+            raise StateInvariantError(violation)
 
     audit = SlotAudit(
         t=state.t,
@@ -539,10 +525,12 @@ def drift_audit(
 ) -> DriftAudit:
     """Check the slot's drift-minus-reward against its constant bound.
 
-    The drift is evaluated under the nominal rate-allocation dynamics (the
-    form in which the bound holds for every bounded decision); on controller
-    steps the applied transfers equal the nominal ones, and this routine
-    verifies that the realized next state matches before trusting it.
+    The drift is evaluated under the nominal dynamics, where every served
+    flow moves its full nominal rate: the form in which the bound holds for
+    every bounded decision. ``next_state`` is ``step``'s transition, which
+    is already nominal except for flows whose sender ran short; only those
+    are corrected here. Only injected decisions can run short: a controller
+    step that moved less than nominal raises StateInvariantError.
 
     In exact mode both sides are compared as doubled integers.
     """
@@ -551,28 +539,21 @@ def drift_audit(
     theta = params.theta
     links = cfg.links
 
-    # same operation order as step() so controller steps match bit for bit
-    nominal_Q = dict(Q)
-    for eid in sorted(decision.served):
-        flow = decision.served[eid]
-        nominal_Q[(flow.src, flow.dest)] -= flow.nominal
-        if flow.dst != flow.dest:
-            nominal_Q[(flow.dst, flow.dest)] += flow.nominal
-    for pair, r in decision.R.items():
-        nominal_Q[pair] += r
-    nominal_E = {
-        eid: E[eid] - decision.P[eid] + decision.S[eid] * links[eid].K for eid in E
-    }
-
-    if not decision.injected:
-        tol = 0 if params.exact else 1e-9
-        diverged = any(
-            abs(nominal_E[eid] - next_state.E[eid]) > tol for eid in E
-        ) or any(abs(next_state.Q[k] - v) > tol for k, v in nominal_Q.items())
-        if diverged:
+    nominal_Q = next_state.Q
+    for eid, flow in decision.served.items():
+        if flow.actual == flow.nominal:
+            continue
+        if not decision.injected:
             raise StateInvariantError(
-                f"controller step diverged from nominal dynamics at slot {state.t}"
+                f"controller step moved {flow.actual} of nominal {flow.nominal} "
+                f"on edge {eid} at slot {state.t}"
             )
+        if nominal_Q is next_state.Q:
+            nominal_Q = dict(nominal_Q)
+        shortfall = flow.nominal - flow.actual
+        nominal_Q[(flow.src, flow.dest)] -= shortfall
+        if flow.dst != flow.dest:
+            nominal_Q[(flow.dst, flow.dest)] += shortfall
 
     reward = sum(
         cfg.commodities[pair].value(decision.R[pair]) for pair in decision.R
@@ -580,15 +561,12 @@ def drift_audit(
     lhs2 = (
         sum(v * v for v in nominal_Q.values())
         - sum(v * v for v in Q.values())
-        + sum((nominal_E[eid] - theta[eid]) ** 2 for eid in E)
+        + sum((next_state.E[eid] - theta[eid]) ** 2 for eid in E)
         - sum((E[eid] - theta[eid]) ** 2 for eid in E)
         - 2 * params.V * reward
     )
 
-    n2 = params.n_nodes**2
-    b2 = n2 * (3 * params.d_max**2 * params.mu_max**2 + 2 * params.R_max**2)
-    b2 += params.n_edges * (params.P_cap + params.K_max) ** 2
-    rhs2 = b2
+    rhs2 = params.B2
     for eid in E:
         rhs2 += 2 * (E[eid] - theta[eid]) * decision.S[eid] * links[eid].K
         rhs2 -= 2 * (E[eid] - theta[eid]) * decision.P[eid]

@@ -12,7 +12,7 @@ from random import Random
 import numpy as np
 
 from qkdnet.graph_core import Edge, Network, Path
-from qkdnet.scheduler import LinkParams
+from qkdnet.scheduler import DriftAudit, LinkParams, StateInvariantError
 from qkdnet.security import BROKEN, PERFECTLY_SECRET, AttackSet
 
 
@@ -265,3 +265,62 @@ def diamond_network(K: int = 3, P_max: int = 3) -> Network:
         bob="b",
     )
     return with_link_params(net, LinkParams(K=K, P_max=P_max))
+
+
+# -- drift-audit referee ------------------------------------------------------
+
+def replay_drift_audit(state, decision, next_state, cfg) -> DriftAudit:
+    """Drift audit by full replay: the referee for ``scheduler.drift_audit``.
+
+    Re-applies every served flow at its nominal rate, in step's operation
+    order, to rebuild the nominal next state; checks that a controller step
+    landed on it; and derives the doubled drift constant 2*B inline from the
+    control parameters instead of reading it.
+    """
+    params = cfg.params
+    Q, E = state.Q, state.E
+    theta = params.theta
+    links = cfg.links
+
+    nominal_Q = dict(Q)
+    for eid in sorted(decision.served):
+        flow = decision.served[eid]
+        nominal_Q[(flow.src, flow.dest)] -= flow.nominal
+        if flow.dst != flow.dest:
+            nominal_Q[(flow.dst, flow.dest)] += flow.nominal
+    for pair, r in decision.R.items():
+        nominal_Q[pair] += r
+    nominal_E = {
+        eid: E[eid] - decision.P[eid] + decision.S[eid] * links[eid].K for eid in E
+    }
+
+    tol = 0 if params.exact else 1e-9
+    if not decision.injected:
+        diverged = any(
+            abs(nominal_E[eid] - next_state.E[eid]) > tol for eid in E
+        ) or any(abs(next_state.Q[k] - v) > tol for k, v in nominal_Q.items())
+        if diverged:
+            raise StateInvariantError(
+                f"controller step diverged from nominal dynamics at slot {state.t}"
+            )
+
+    reward = sum(cfg.commodities[pair].value(decision.R[pair]) for pair in decision.R)
+    lhs2 = (
+        sum(v * v for v in nominal_Q.values())
+        - sum(v * v for v in Q.values())
+        + sum((nominal_E[eid] - theta[eid]) ** 2 for eid in E)
+        - sum((E[eid] - theta[eid]) ** 2 for eid in E)
+        - 2 * params.V * reward
+    )
+
+    rhs2 = params.n_nodes**2 * (3 * params.d_max**2 * params.mu_max**2 + 2 * params.R_max**2)
+    rhs2 += params.n_edges * (params.P_cap + params.K_max) ** 2
+    for eid in E:
+        rhs2 += 2 * (E[eid] - theta[eid]) * decision.S[eid] * links[eid].K
+        rhs2 -= 2 * (E[eid] - theta[eid]) * decision.P[eid]
+    for pair, r in decision.R.items():
+        rhs2 -= 2 * (params.V * cfg.commodities[pair].value(r) - Q[pair] * r)
+    for flow in decision.served.values():
+        rhs2 -= 2 * flow.nominal * (Q[(flow.src, flow.dest)] - Q[(flow.dst, flow.dest)])
+
+    return DriftAudit(ok=lhs2 <= rhs2 + tol, lhs=lhs2 / 2, rhs=rhs2 / 2, exact=params.exact)

@@ -1,9 +1,13 @@
 """Command-line interface: subcommands, config handling, exit codes."""
 
 import csv
+import io
+import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from qkdnet import cli
 
@@ -264,9 +268,14 @@ def test_simulate_requires_schedule(tmp_path, capsys):
     assert "commodities" in capsys.readouterr().err
 
 
-def _fixture_with(tmp_path, section, key, value):
+def _fixture_set(tmp_path, dotted, value):
+    """The fixture config with the (possibly nested) key ``dotted`` set to ``value``."""
     doc = yaml.safe_load(FIXTURE_YAML)
-    doc[section][key] = value
+    *parents, key = dotted.split(".")
+    node = doc
+    for part in parents:
+        node = node[part]
+    node[key] = value
     p = tmp_path / "edited.yaml"
     p.write_text(yaml.safe_dump(doc))
     return str(p)
@@ -275,19 +284,123 @@ def _fixture_with(tmp_path, section, key, value):
 @pytest.mark.parametrize("key", ["V", "R_max", "T"])
 @pytest.mark.parametrize("value", ["abc", True, [1], float("inf")])
 def test_simulate_rejects_non_numeric_schedule_value(tmp_path, capsys, key, value):
-    cfg = _fixture_with(tmp_path, "schedule", key, value)
+    cfg = _fixture_set(tmp_path, f"schedule.{key}", value)
     assert cli.main(["simulate", cfg]) == 1
     assert f"schedule.{key} must be a finite number" in capsys.readouterr().err
 
 
 def test_scalar_config_attack_is_one_label(tmp_path, capsys):
-    cfg = _fixture_with(tmp_path, "security", "attack", "c1")
+    cfg = _fixture_set(tmp_path, "security.attack", "c1")
     assert cli.main(["assess", cfg]) == 0
     assert "attack: c1\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("value", [5, {"c1": 1}])
 def test_non_list_config_attack_is_rejected(tmp_path, capsys, value):
-    cfg = _fixture_with(tmp_path, "security", "attack", value)
+    cfg = _fixture_set(tmp_path, "security.attack", value)
     assert cli.main(["assess", cfg]) == 1
     assert "security.attack must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "dotted,value,command,message",
+    [
+        ("security", 5, "assess", "security must be a dict"),
+        ("schedule", 5, "simulate", "schedule must be a dict"),
+        ("security.paths", 5, "assess", "security.paths must be a list"),
+        ("security.paths", [5], "assess", "security.paths entries must be"),
+        ("schedule.commodities", 5, "simulate", "schedule.commodities must be a list"),
+        ("schedule.V_values", 5, "sweep", "schedule.V_values must be a list"),
+        ("schedule.V_values", [20, 2.5], "sweep", "schedule.V_values entries must be an integer"),
+        ("schedule.T", 2.5, "simulate", "schedule.T must be an integer"),
+        ("edges", 5, "attack", "edges must be a list"),
+        ("nodes", 5, "attack", "nodes must be a list"),
+        ("seed", [1], "exchange", "seed must be a finite number"),
+        ("alice", ["a"], "assess", "alice must be a node label"),
+        ("security.n_bits", [16], "exchange", "security.n_bits must be a finite number"),
+        ("security.scheme", "m1", "exchange", "unknown scheme 'm1'"),
+        ("schedule.tie_mode", 5, "simulate", "schedule.tie_mode must be"),
+    ],
+)
+def test_malformed_config_shape_exits_1(tmp_path, capsys, dotted, value, command, message):
+    cfg = _fixture_set(tmp_path, dotted, value)
+    assert cli.main([command, cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def test_string_config_path_is_a_comma_separated_route(tmp_path, capsys):
+    cfg = _fixture_set(tmp_path, "security.paths", ["a,c1,c2,b", "a,c3,c4,c5,b"])
+    assert cli.main(["assess", cfg, "--attack", "c2"]) == 0
+    assert "scheme sec=1" in capsys.readouterr().out  # the route through c3 stays unseen
+
+
+def test_assess_scheme_sec_follows_the_oracle_on_shared_edges(fixture_cfg, capsys):
+    # both routes leave alice over k1, so the announcements alone reveal the
+    # message; no route touches c3, which the hit-count rule would call secret
+    rc = cli.main(
+        ["assess", fixture_cfg, "--path", "a,c1,c2,b", "--path", "a,c1,c4,c5,b", "--attack", "c3"]
+    )
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "scheme sec=0" in out
+    assert out.endswith("sec=1\n")  # the attack itself is survivable
+
+
+def _labels_ok(v):
+    return isinstance(v, list) and all(isinstance(x, (str, int)) and not isinstance(x, bool) for x in v)
+
+
+def _not_int(v):
+    return v is not None and (isinstance(v, bool) or not isinstance(v, int))
+
+
+def _not_finite_number(v):
+    return v is not None and (
+        isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
+    )
+
+
+# per config key, the values that never have its documented shape (null means absent)
+MALFORMED = {
+    "security": lambda v: v is not None and not isinstance(v, dict),
+    "schedule": lambda v: v is not None and not isinstance(v, dict),
+    "edges": lambda v: not isinstance(v, list),
+    "nodes": lambda v: v is not None and not _labels_ok(v),
+    "seed": _not_int,
+    "alice": lambda v: isinstance(v, (bool, float, list, dict)),
+    "security.scheme": lambda v: v is not None and v not in ("m0", "multipath"),
+    "security.n_bits": _not_int,
+    "security.paths": lambda v: v is not None and v != [],
+    "security.attack": lambda v: v is not None and not isinstance(v, str) and not _labels_ok(v),
+    "schedule.commodities": lambda v: v is not None
+    and not (isinstance(v, list) and any(isinstance(x, dict) for x in v)),
+    "schedule.V": _not_finite_number,
+    "schedule.R_max": _not_finite_number,
+    "schedule.T": _not_int,
+    "schedule.V_values": lambda v: v is not None
+    and not (isinstance(v, list) and all(type(x) is int for x in v)),
+    "schedule.tie_mode": lambda v: v is not None and v not in ("random", "lexicographic"),
+}
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5), st.floats(), st.text(max_size=4)
+)
+_YAML_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fuzzed_config_sections_exit_1_without_traceback(tmp_path_factory, data):
+    dotted = data.draw(st.sampled_from(sorted(MALFORMED)))
+    value = data.draw(_YAML_VALUES.filter(MALFORMED[dotted]))
+    cfg = _fixture_set(tmp_path_factory.mktemp("fuzz"), dotted, value)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = cli.main(["simulate", cfg, "--horizon", "3"])
+    assert rc == 1, (dotted, value, out.getvalue())
+    assert err.getvalue().startswith("error:")

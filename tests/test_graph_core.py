@@ -14,7 +14,6 @@ from qkdnet.graph_core import (
     enumerate_simple_paths,
     max_disjoint_paths,
     min_vertex_cut,
-    neighbors,
 )
 from qkdnet.security import demo7_network
 
@@ -76,9 +75,9 @@ def test_nodes_and_edges_are_sorted():
 
 def test_neighbors_sorted_and_unknown_node():
     g = demo7_network()
-    assert neighbors(g, "c1") == ("a", "c2", "c4")
+    assert g.adjacency["c1"] == ("a", "c2", "c4")
     with pytest.raises(UnknownNodeError):
-        neighbors(g, "nope")
+        g.degree("nope")
 
 
 def test_edge_between_and_other():
