@@ -405,7 +405,7 @@ def _cmd_oracle(cfg: _Config, args: argparse.Namespace) -> int:
     print(f"U*={res.value:g}")
     for pair, rate in sorted(res.rates.items()):
         print(f"r {pair[0]}>{pair[1]} = {rate:g}")
-    print(f"method: {res.method}")
+    print(f"upper bound: {res.upper:g}")
     return EXIT_OK
 
 

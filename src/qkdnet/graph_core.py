@@ -163,10 +163,6 @@ class Network:
         return {n: tuple(sorted(vs)) for n, vs in adj.items()}
 
     @cached_property
-    def edge_by_id(self) -> dict[str, Edge]:
-        return {e.id: e for e in self.edges}
-
-    @cached_property
     def _edge_by_pair(self) -> dict[frozenset[str], Edge]:
         return {e.pair: e for e in self.edges}
 

@@ -4,14 +4,15 @@
 every slot, and returns per-slot traces. ``oracle_optimal`` solves the
 static multicommodity program the controller is measured against: it knows
 the whole network and the long-run key budgets, which the slot controller
-never sees. ``v_sweep`` runs the controller at increasing V and checks each
+never sees. It is one flow LP, tightened by tangent cuts for concave
+utilities until its bound certifies the answer within a small relative gap.
+``v_sweep`` runs the controller at increasing V and checks each
 measured utility against the oracle value minus the guaranteed gap.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Callable, Mapping, Sequence
 
@@ -42,8 +43,10 @@ __all__ = [
     "v_sweep",
 ]
 
-_ORACLE_MAX_NODES = 6
-_ORACLE_MAX_COMMODITIES = 3
+# relative gap at which the cutting-plane oracle stops; tighter gaps hit the
+# LP solver's accuracy floor and stop closing
+_ORACLE_GAP = 1e-7
+_ORACLE_MAX_ROUNDS = 200
 
 Injector = Callable[[NetworkState, ScheduleConfig, Random, int], StepDecision | None]
 Observer = Callable[[int, NetworkState, StepDecision, SlotAudit], None]
@@ -77,7 +80,7 @@ class Scenario:
 
 @dataclass
 class Metrics:
-    """Per-slot traces. Backlog and stores are observed at slot start."""
+    """Per-slot traces. Backlog is observed at slot start."""
 
     pairs: tuple[tuple[str, str], ...]
     dests: tuple[str, ...]
@@ -85,8 +88,6 @@ class Metrics:
     delivered: dict[str, np.ndarray]
     utility: np.ndarray
     backlog: np.ndarray
-    stores: dict[str, np.ndarray]
-    key_margin: np.ndarray
 
     @staticmethod
     def empty(cfg: ScheduleConfig, T: int) -> "Metrics":
@@ -97,8 +98,6 @@ class Metrics:
             delivered={d: np.zeros(T) for d in cfg.dests},
             utility=np.zeros(T),
             backlog=np.zeros(T),
-            stores={e.id: np.zeros(T) for e in cfg.network.edges},
-            key_margin=np.zeros(T),
         )
 
     @staticmethod
@@ -161,8 +160,6 @@ def run(
 
     for t in range(T):
         m.backlog[t] = sum(state.Q.values())
-        for eid, arr in m.stores.items():
-            arr[t] = state.E[eid]
         decision = inject(state, cfg, rng, t) if inject is not None else None
         if decision is not None:
             injected += 1
@@ -177,7 +174,6 @@ def run(
         m.utility[t] = sum(cfg.commodities[p].value(r) for p, r in decision.R.items())
         for dest, amount in audit.delivered.items():
             m.delivered[dest][t] = amount
-        m.key_margin[t] = audit.min_key_margin if audit.min_key_margin != math.inf else 0
         if observer is not None:
             observer(t, prev, decision, audit)
 
@@ -196,20 +192,26 @@ def run(
 class OracleResult:
     """Optimum of the static program over long-run rates.
 
-    ``value`` is the utility sum at the optimal admitted rates; ``rates``
-    maps each commodity to its rate. ``method`` records how it was computed:
-    an exact LP for linear utilities, a refined grid search with LP
-    feasibility checks (a certified achievable lower bound) otherwise.
+    ``rates`` maps each commodity to its optimal admitted rate and ``value``
+    is the utility sum there; the rates are feasible, so ``value`` is
+    achievable. ``upper`` is the optimum of the last tangent-cut LP, a
+    certified upper bound: ``upper - value`` is at most ``_ORACLE_GAP``
+    relative to ``1 + |upper|``, and zero up to solver accuracy for linear
+    utilities.
     """
 
     value: float
     rates: dict[tuple[str, str], float]
-    capacities: dict[str, float]
-    method: str
+    upper: float
 
 
-def _edge_capacities(network: Network) -> dict[str, float]:
-    caps = {}
+def _edge_capacities(network: Network) -> np.ndarray:
+    """Long-run data capacity of each edge, in ``network.edges`` order.
+
+    A one-time-pad link moves one data bit per key bit spent and spends at
+    most ``P_max`` per slot, and at most ``K`` per slot on average.
+    """
+    caps = []
     for e in network.edges:
         lp = e.link_params
         if lp is None:
@@ -218,83 +220,8 @@ def _edge_capacities(network: Network) -> dict[str, float]:
             raise ValueError(
                 "the static oracle supports identity-rate (one-time pad) links only"
             )
-        caps[e.id] = min(lp.delta * lp.K, lp.P_max)
-    return caps
-
-
-def _flow_lp(
-    network: Network,
-    commodities: Sequence[tuple[str, str]],
-    caps: Mapping[str, float],
-    R_max: float,
-    objective: Mapping[tuple[str, str], float] | None,
-    fixed_rates: Mapping[tuple[str, str], float] | None = None,
-):
-    """Max-utility (or feasibility) LP over per-commodity arc flows.
-
-    Variables: one rate per commodity, then one flow per (commodity,
-    directed arc). Conservation holds at every node except the commodity's
-    destination; the source's surplus equals the admitted rate.
-    """
-    nodes = network.nodes
-    arcs = [(e.id, e.u, e.v) for e in network.edges] + [
-        (e.id, e.v, e.u) for e in network.edges
-    ]
-    n_c = len(commodities)
-    n_var = n_c + n_c * len(arcs)
-
-    def fvar(ci: int, ai: int) -> int:
-        return n_c + ci * len(arcs) + ai
-
-    A_eq, b_eq = [], []
-    for ci, (src, dst) in enumerate(commodities):
-        for v in nodes:
-            if v == dst:
-                continue
-            row = np.zeros(n_var)
-            for ai, (_, x, y) in enumerate(arcs):
-                if x == v:
-                    row[fvar(ci, ai)] = 1
-                elif y == v:
-                    row[fvar(ci, ai)] = -1
-            if v == src:
-                row[ci] = -1
-            A_eq.append(row)
-            b_eq.append(0.0)
-
-    A_ub, b_ub = [], []
-    for e in network.edges:
-        row = np.zeros(n_var)
-        for ai, (eid, _, _) in enumerate(arcs):
-            if eid == e.id:
-                for ci in range(n_c):
-                    row[fvar(ci, ai)] = 1
-        A_ub.append(row)
-        b_ub.append(float(caps[e.id]))
-
-    bounds = []
-    for ci, pair in enumerate(commodities):
-        if fixed_rates is not None:
-            r = fixed_rates[pair]
-            bounds.append((r, r))
-        else:
-            bounds.append((0.0, float(R_max)))
-    bounds.extend([(0.0, None)] * (n_c * len(arcs)))
-
-    c = np.zeros(n_var)
-    if objective is not None:
-        for ci, pair in enumerate(commodities):
-            c[ci] = -objective[pair]
-
-    return linprog(
-        c,
-        A_ub=np.array(A_ub) if A_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(A_eq),
-        b_eq=np.array(b_eq),
-        bounds=bounds,
-        method="highs",
-    )
+        caps.append(min(lp.K, lp.P_max))
+    return np.array(caps, dtype=float)
 
 
 def oracle_optimal(
@@ -305,59 +232,83 @@ def oracle_optimal(
     """Optimum of the static program: maximize summed utility of long-run
 
     admitted rates subject to flow conservation and each edge carrying at
-    most its long-run key budget. Refuses instances big enough to make the
-    search strategies below untrustworthy.
-    """
-    if len(network.nodes) > _ORACLE_MAX_NODES:
-        raise ValueError(f"oracle limited to {_ORACLE_MAX_NODES} nodes")
-    if len(commodities) > _ORACLE_MAX_COMMODITIES:
-        raise ValueError(f"oracle limited to {_ORACLE_MAX_COMMODITIES} commodities")
-    caps = _edge_capacities(network)
-    pairs = sorted(commodities)
+    most its long-run key budget.
 
-    if all(u.kind == "linear" for u in commodities.values()):
-        res = _flow_lp(network, pairs, caps, R_max, {p: commodities[p].w for p in pairs})
+    One LP over rates ``r`` in ``[0, R_max]``, one epigraph variable ``t``
+    per commodity and per-commodity arc flows maximizes ``sum(t)`` under
+    tangent cuts ``t <= U(r0) + U'(r0) * (r - r0)`` (Kelley's cutting-plane
+    method, 1960). Each round adds a cut at the LP's rate for every
+    commodity whose ``t`` still overstates its utility, until the LP bound
+    and the utility of its rates agree within the gap. A linear utility is
+    its own tangent, so linear instances take one LP.
+    """
+    caps = _edge_capacities(network)
+    if not commodities:
+        raise ValueError("at least one commodity is required")
+    pairs = sorted(commodities)
+    utils = [commodities[p] for p in pairs]
+    for src, dst in pairs:
+        network.require_node(src)
+        network.require_node(dst)
+        if src == dst:
+            raise ValueError(f"commodity {src!r}->{dst!r} has equal endpoints")
+    n, m, n_c = len(network.nodes), len(network.edges), len(pairs)
+    index = {v: i for i, v in enumerate(network.nodes)}
+
+    # node-arc incidence: arc a < m runs u->v along edge a, arc m + a runs v->u
+    ends_u = [index[e.u] for e in network.edges]
+    ends_v = [index[e.v] for e in network.edges]
+    arcs = np.arange(2 * m)
+    incidence = np.zeros((n, 2 * m))
+    incidence[ends_u + ends_v, arcs] = 1
+    incidence[ends_v + ends_u, arcs] = -1
+
+    # variables: rates, epigraphs, then 2m arc flows per commodity; each
+    # commodity's net outflow is its rate at the source and 0 elsewhere,
+    # except at the destination, whose row follows from the others
+    block_start = np.arange(n_c) * n
+    sources = np.zeros((n_c * n, n_c))
+    sources[block_start + [index[src] for src, _ in pairs], np.arange(n_c)] = -1
+    A_eq = np.hstack([sources, np.zeros((n_c * n, n_c)), np.kron(np.eye(n_c), incidence)])
+    A_eq = np.delete(A_eq, block_start + [index[dst] for _, dst in pairs], axis=0)
+    A_cap = np.hstack([np.zeros((m, 2 * n_c)), np.tile(np.eye(m), 2 * n_c)])
+    n_var = A_eq.shape[1]
+    objective = np.concatenate([np.zeros(n_c), -np.ones(n_c), np.zeros(n_var - 2 * n_c)])
+    bounds = [(0.0, float(R_max))] * n_c + [(None, None)] * n_c + [(0.0, None)] * (n_var - 2 * n_c)
+
+    cuts, cut_rhs = [], []
+
+    def add_cut(i: int, r0: float) -> None:
+        slope = utils[i].marginal(r0)
+        row = np.zeros(n_var)
+        row[i], row[n_c + i] = -slope, 1.0
+        cuts.append(row)
+        cut_rhs.append(utils[i].value(r0) - slope * r0)
+
+    for i in range(n_c):
+        add_cut(i, 0.0)
+    for _ in range(_ORACLE_MAX_ROUNDS):
+        res = linprog(
+            objective,
+            A_ub=np.vstack([A_cap, *cuts]),
+            b_ub=np.concatenate([caps, cut_rhs]),
+            A_eq=A_eq,
+            b_eq=np.zeros(len(A_eq)),
+            bounds=bounds,
+            method="highs",
+        )
         if not res.success:
             raise RuntimeError(f"oracle LP failed: {res.message}")
-        rates = {p: float(res.x[i]) for i, p in enumerate(pairs)}
-        value = float(sum(commodities[p].w * rates[p] for p in pairs))
-        return OracleResult(value=value, rates=rates, capacities=caps, method="lp")
-
-    # concave utilities: refine a grid over the rate box, keeping only
-    # rate vectors the flow LP certifies feasible
-    lo = {p: 0.0 for p in pairs}
-    hi = {p: float(R_max) for p in pairs}
-    best_rates = {p: 0.0 for p in pairs}
-    best_value = sum(commodities[p].value(0.0) for p in pairs)
-    grid_n = 11
-    while True:
-        axes = {p: np.linspace(lo[p], hi[p], grid_n) for p in pairs}
-        mesh = np.meshgrid(*[axes[p] for p in pairs], indexing="ij")
-        candidates = np.stack([g.ravel() for g in mesh], axis=-1)
-        values = np.zeros(len(candidates))
-        for i, pt in enumerate(candidates):
-            values[i] = sum(commodities[p].value(pt[j]) for j, p in enumerate(pairs))
-        improved = None
-        for i in np.argsort(-values):
-            if values[i] <= best_value:
-                break
-            fixed = {p: float(candidates[i][j]) for j, p in enumerate(pairs)}
-            feas = _flow_lp(network, pairs, caps, R_max, None, fixed_rates=fixed)
-            if feas.success:
-                improved = fixed
-                best_value = float(values[i])
-                break
-        if improved is not None:
-            best_rates = improved
-        spans = {p: (hi[p] - lo[p]) / (grid_n - 1) for p in pairs}
-        if max(spans.values()) <= 1e-3 * float(R_max):
-            break
-        for p in pairs:
-            lo[p] = max(0.0, best_rates[p] - spans[p])
-            hi[p] = min(float(R_max), best_rates[p] + spans[p])
-    return OracleResult(
-        value=float(best_value), rates=best_rates, capacities=caps, method="grid"
-    )
+        # the solver may return -0.0 or a rate a rounding error outside the box
+        rates = [max(0.0, min(float(r), float(R_max))) for r in res.x[:n_c]]
+        values = [u.value(r) for u, r in zip(utils, rates)]
+        upper, value = float(-res.fun), float(sum(values))
+        if upper - value <= _ORACLE_GAP * (1 + abs(upper)):
+            return OracleResult(value=value, rates=dict(zip(pairs, rates)), upper=upper)
+        for i, t in enumerate(res.x[n_c:2 * n_c]):
+            if t > values[i]:
+                add_cut(i, rates[i])
+    raise RuntimeError(f"oracle gap still open after {_ORACLE_MAX_ROUNDS} cutting-plane rounds")
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,8 @@ class LinkParams:
     mu_of_P: Callable[[Num], Num] | None = None
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(x) for x in (self.K, self.P_max, self.delta)):
+            raise ValueError("K, P_max and delta must be finite")
         if self.K < 0 or self.P_max < 0:
             raise ValueError("K and P_max must be non-negative")
         if self.delta < 1:
@@ -100,17 +102,18 @@ class Utility:
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "log1p"):
             raise ValueError(f"unknown utility kind {self.kind!r}")
-        if self.w <= 0:
-            raise ValueError("utility weight must be positive")
+        if not (math.isfinite(self.w) and self.w > 0):
+            raise ValueError("utility weight must be positive and finite")
 
     def value(self, r: Num) -> Num:
         if self.kind == "linear":
             return self.w * r
         return self.w * math.log1p(r)
 
-    @property
-    def marginal_at_zero(self) -> Num:
-        return self.w
+    def marginal(self, r: Num) -> Num:
+        if self.kind == "linear":
+            return self.w
+        return self.w / (1 + r)
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,7 @@ class ControlParams:
             if e.link_params is None:
                 raise ValueError(f"edge {e.id!r} has no link parameters")
             links[e.id] = e.link_params
-        beta = max(u.marginal_at_zero for u in commodities.values())
+        beta = max(u.marginal(0) for u in commodities.values())
         mu_max = max(lp.rate(lp.P_max) for lp in links.values())
         d_max = max(network.degree(v) for v in network.nodes)
         gamma = R_max + d_max * mu_max
@@ -281,7 +284,6 @@ class StepDecision:
 
 @dataclass(frozen=True)
 class SlotAudit:
-    t: int
     availability_ok: bool
     min_key_margin: Num
     delivered: dict[str, Num]
@@ -500,7 +502,6 @@ def step(
             raise StateInvariantError(violation)
 
     audit = SlotAudit(
-        t=state.t,
         availability_ok=min_margin >= 0,
         min_key_margin=min_margin,
         delivered=delivered,

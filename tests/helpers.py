@@ -10,6 +10,7 @@ import itertools
 from random import Random
 
 import numpy as np
+from scipy.optimize import linprog
 
 from qkdnet.graph_core import Edge, Network, Path
 from qkdnet.scheduler import DriftAudit, LinkParams, StateInvariantError
@@ -265,6 +266,103 @@ def diamond_network(K: int = 3, P_max: int = 3) -> Network:
         bob="b",
     )
     return with_link_params(net, LinkParams(K=K, P_max=P_max))
+
+
+# -- static-oracle referee ----------------------------------------------------
+
+def fixed_rate_feasible(network: Network, rates: dict) -> bool:
+    """Whether per-commodity arc flows can carry ``rates``, each edge within
+
+    its long-run key budget ``min(K, P_max)``: a feasibility LP with the
+    rates pinned, rows built entry by entry.
+    """
+    commodities = sorted(rates)
+    nodes = network.nodes
+    arcs = [(e.id, e.u, e.v) for e in network.edges] + [
+        (e.id, e.v, e.u) for e in network.edges
+    ]
+    n_c = len(commodities)
+    n_var = n_c + n_c * len(arcs)
+
+    def fvar(ci: int, ai: int) -> int:
+        return n_c + ci * len(arcs) + ai
+
+    A_eq, b_eq = [], []
+    for ci, (src, dst) in enumerate(commodities):
+        for v in nodes:
+            if v == dst:
+                continue
+            row = np.zeros(n_var)
+            for ai, (_, x, y) in enumerate(arcs):
+                if x == v:
+                    row[fvar(ci, ai)] = 1
+                elif y == v:
+                    row[fvar(ci, ai)] = -1
+            if v == src:
+                row[ci] = -1
+            A_eq.append(row)
+            b_eq.append(0.0)
+
+    A_ub, b_ub = [], []
+    for e in network.edges:
+        row = np.zeros(n_var)
+        for ai, (eid, _, _) in enumerate(arcs):
+            if eid == e.id:
+                for ci in range(n_c):
+                    row[fvar(ci, ai)] = 1
+        A_ub.append(row)
+        b_ub.append(float(min(e.link_params.K, e.link_params.P_max)))
+
+    bounds = [(rates[p], rates[p]) for p in commodities]
+    bounds.extend([(0.0, None)] * (n_c * len(arcs)))
+    res = linprog(
+        np.zeros(n_var),
+        A_ub=np.array(A_ub),
+        b_ub=np.array(b_ub),
+        A_eq=np.array(A_eq),
+        b_eq=np.array(b_eq),
+        bounds=bounds,
+        method="highs",
+    )
+    return bool(res.success)
+
+
+def grid_oracle(network: Network, commodities, R_max) -> tuple[float, dict]:
+    """Static optimum by grid search: the referee for ``oracle_optimal``.
+
+    Refines an 11-point-per-axis grid over the rate box around the best
+    rate vector found so far, keeping only vectors ``fixed_rate_feasible``
+    accepts, until the grid spacing is 1e-3 of ``R_max``. Every returned
+    point is feasible, so its value is a lower bound on the optimum.
+    Returns (value, rates).
+    """
+    pairs = sorted(commodities)
+    lo = {p: 0.0 for p in pairs}
+    hi = {p: float(R_max) for p in pairs}
+    best_rates = {p: 0.0 for p in pairs}
+    best_value = sum(commodities[p].value(0.0) for p in pairs)
+    grid_n = 11
+    while True:
+        axes = {p: np.linspace(lo[p], hi[p], grid_n) for p in pairs}
+        mesh = np.meshgrid(*[axes[p] for p in pairs], indexing="ij")
+        candidates = np.stack([g.ravel() for g in mesh], axis=-1)
+        values = np.zeros(len(candidates))
+        for i, pt in enumerate(candidates):
+            values[i] = sum(commodities[p].value(pt[j]) for j, p in enumerate(pairs))
+        for i in np.argsort(-values):
+            if values[i] <= best_value:
+                break
+            fixed = {p: float(candidates[i][j]) for j, p in enumerate(pairs)}
+            if fixed_rate_feasible(network, fixed):
+                best_rates = fixed
+                best_value = float(values[i])
+                break
+        spans = {p: (hi[p] - lo[p]) / (grid_n - 1) for p in pairs}
+        if max(spans.values()) <= 1e-3 * float(R_max):
+            return float(best_value), best_rates
+        for p in pairs:
+            lo[p] = max(0.0, best_rates[p] - spans[p])
+            hi[p] = min(float(R_max), best_rates[p] + spans[p])
 
 
 # -- drift-audit referee ------------------------------------------------------

@@ -240,6 +240,17 @@ def test_c05_queue_and_store_bounds_hold_100k_slots(fixture_run):
     )
 
 
+def test_c05_tail_utility_within_guaranteed_gap_of_oracle(fixture_run):
+    scenario, _, result = fixture_run
+    cfg = scenario.config
+    oracle = oracle_optimal(cfg.network, cfg.commodities, cfg.params.R_max)
+    assert oracle.value == pytest.approx(13, abs=1e-9)
+    measured = result.metrics.utility_of_rates(cfg.commodities)
+    floor = oracle.value - cfg.params.B_tilde / cfg.params.V - 0.02 * oracle.value
+    assert floor <= measured <= oracle.value * (1 + 1e-3), (measured, oracle.value)
+    _verdict("C5", f"tail utility {measured:.4f} against U*={oracle.value:g}")
+
+
 def test_c06_key_spend_never_exceeds_store(fixture_run):
     scenario, probe, result = fixture_run
     assert result.availability_ok
@@ -371,7 +382,7 @@ def test_c10_two_node_oracle_exact_and_simulator_converges():
     net = two_node_network(K=5, P_max=5)
     commodities = {("a", "b"): Utility("linear", 1)}
     oracle = oracle_optimal(net, commodities, R_max=10)
-    assert oracle.method == "lp"
+    assert oracle.upper - oracle.value <= 1e-9
     assert oracle.rates[("a", "b")] == pytest.approx(5, abs=1e-9)
     scenario = Scenario.build(net, commodities, V=200, R_max=10, T=100_000, seed=42)
     result = run(scenario)

@@ -212,12 +212,25 @@ def test_oracle_subcommand(diamond_cfg, capsys):
     out = capsys.readouterr().out
     assert "U*=6" in out
     assert "r a>b = 6" in out
-    assert "method: lp" in out
+    assert "upper bound: 6" in out
 
 
-def test_oracle_refuses_fixture(fixture_cfg, capsys):
-    assert cli.main(["oracle", fixture_cfg]) == 1
-    assert "error:" in capsys.readouterr().err
+def test_oracle_solves_fixture(fixture_cfg, capsys):
+    assert cli.main(["oracle", fixture_cfg]) == 0
+    assert "U*=6" in capsys.readouterr().out
+
+
+def test_oracle_identity_rate_link_carries_key_rate(tmp_path, capsys):
+    # delta does not raise a one-time-pad link's capacity above K per slot
+    p = tmp_path / "path.yaml"
+    p.write_text(
+        "alice: a\nbob: b\nedges:\n"
+        "  - {id: e1, u: a, v: m, params: {K: 3, P_max: 5, delta: 2}}\n"
+        "  - {id: e2, u: m, v: b, params: {K: 3, P_max: 5, delta: 2}}\n"
+        "schedule:\n  commodities: [{src: a, dst: b}]\n  R_max: 10\n"
+    )
+    assert cli.main(["oracle", str(p)]) == 0
+    assert "U*=3\n" in capsys.readouterr().out
 
 
 def test_sweep_pass(diamond_cfg, capsys):
@@ -274,7 +287,7 @@ def _fixture_set(tmp_path, dotted, value):
     *parents, key = dotted.split(".")
     node = doc
     for part in parents:
-        node = node[part]
+        node = node[int(part)] if isinstance(node, list) else node[part]
     node[key] = value
     p = tmp_path / "edited.yaml"
     p.write_text(yaml.safe_dump(doc))
@@ -320,6 +333,12 @@ def test_non_list_config_attack_is_rejected(tmp_path, capsys, value):
         ("security.n_bits", [16], "exchange", "security.n_bits must be a finite number"),
         ("security.scheme", "m1", "exchange", "unknown scheme 'm1'"),
         ("schedule.tie_mode", 5, "simulate", "schedule.tie_mode must be"),
+        ("edges.0.params.K", math.nan, "simulate", "K, P_max and delta must be finite"),
+        ("edges.0.params.K", math.inf, "simulate", "K, P_max and delta must be finite"),
+        ("edges.0.params.P_max", math.inf, "simulate", "K, P_max and delta must be finite"),
+        ("edges.0.params.delta", math.nan, "simulate", "K, P_max and delta must be finite"),
+        ("schedule.commodities.0.w", math.nan, "simulate", "weight must be positive and finite"),
+        ("schedule.commodities.0.w", math.inf, "oracle", "weight must be positive and finite"),
     ],
 )
 def test_malformed_config_shape_exits_1(tmp_path, capsys, dotted, value, command, message):

@@ -1,26 +1,37 @@
 """Simulation runs, long-run metrics, and the static optimum oracle."""
 
 import math
+import time
 from random import Random
 
 import pytest
 
 from qkdnet.graph_core import Network
-from qkdnet.harness import Metrics, Scenario, oracle_optimal, run, v_sweep
+from qkdnet.harness import _ORACLE_GAP, Metrics, Scenario, oracle_optimal, run, v_sweep
 from qkdnet.scheduler import LinkParams, Utility, random_feasible_decision
 from qkdnet.security import demo7_network
 
-from helpers import diamond_network, two_node_network, with_link_params
+from helpers import (
+    diamond_network,
+    fixed_rate_feasible,
+    grid_oracle,
+    two_node_network,
+    with_link_params,
+)
 
 
 LIN = Utility("linear", 1)
+
+
+def _certified(res) -> bool:
+    return 0 <= res.upper - res.value <= _ORACLE_GAP * (1 + abs(res.upper))
 
 
 # -- static oracle -------------------------------------------------------------
 
 def test_oracle_two_node_rate_is_key_budget():
     res = oracle_optimal(two_node_network(K=5, P_max=5), {("a", "b"): LIN}, R_max=10)
-    assert res.method == "lp"
+    assert res.upper - res.value <= 1e-9
     assert res.value == pytest.approx(5, abs=1e-9)
     assert res.rates[("a", "b")] == pytest.approx(5, abs=1e-9)
 
@@ -58,38 +69,45 @@ def test_oracle_weighted_commodities_share_capacity():
 
 def test_oracle_grid_capacity_bound():
     res = oracle_optimal(two_node_network(K=5, P_max=5), {("a", "b"): Utility("log1p", 2)}, 10)
-    assert res.method == "grid"
-    assert res.rates[("a", "b")] == pytest.approx(5, abs=0.02)
-    assert res.value == pytest.approx(2 * math.log(6), abs=0.01)
+    assert res.rates[("a", "b")] == pytest.approx(5, abs=1e-6)
+    assert res.value == pytest.approx(2 * math.log(6), abs=1e-6)
+    assert _certified(res)
 
 
 def test_oracle_grid_r_max_bound():
     res = oracle_optimal(two_node_network(K=20, P_max=20), {("a", "b"): Utility("log1p", 2)}, 10)
-    assert res.rates[("a", "b")] == pytest.approx(10, abs=0.02)
+    assert res.rates[("a", "b")] == pytest.approx(10, abs=1e-6)
+    assert res.value == pytest.approx(2 * math.log(11), abs=1e-6)
+    assert _certified(res)
 
 
 def test_oracle_grid_never_exceeds_lp_on_linearized_instance():
-    # grid value for log1p must stay below the LP capacity optimum mapped
-    # through the utility (sanity: the grid reports only feasible points)
+    # one commodity: the log1p optimum is the linear (max-flow) optimum
+    # mapped through the utility, ln(1 + 6)
     net = diamond_network(K=3, P_max=3)
-    grid = oracle_optimal(net, {("a", "b"): Utility("log1p", 1)}, 8)
+    res = oracle_optimal(net, {("a", "b"): Utility("log1p", 1)}, 8)
     cap = oracle_optimal(net, {("a", "b"): LIN}, 8).value
-    assert grid.value <= math.log1p(cap) + 1e-9
+    assert res.value == pytest.approx(math.log1p(cap), abs=1e-6)
+    assert res.value == pytest.approx(math.log(7), abs=1e-6)
+    assert _certified(res)
 
 
 def test_oracle_refusals():
-    with pytest.raises(ValueError):
-        oracle_optimal(
-            with_link_params(demo7_network(), LinkParams(K=3, P_max=3)),
-            {("a", "b"): LIN},
-            8,
-        )
-    net = diamond_network()
+    # size is no reason to refuse: seven nodes and four commodities solve
+    res = oracle_optimal(
+        with_link_params(demo7_network(), LinkParams(K=3, P_max=3)),
+        {("a", "b"): LIN},
+        8,
+    )
+    assert res.value == pytest.approx(6, abs=1e-9)  # a has two edges of budget 3
+    assert _certified(res)
     four = {
-        ("a", "b"): LIN, ("b", "a"): LIN, ("m1", "m2"): LIN, ("m2", "m1"): LIN,
+        ("a", "b"): LIN, ("b", "a"): Utility("log1p", 1),
+        ("m1", "m2"): LIN, ("m2", "m1"): Utility("log1p", 2),
     }
-    with pytest.raises(ValueError):
-        oracle_optimal(net, four, 8)
+    res = oracle_optimal(diamond_network(), four, 8)
+    assert _certified(res)
+    assert fixed_rate_feasible(diamond_network(), res.rates)
     with pytest.raises(ValueError):
         oracle_optimal(demo7_network(), {("a", "b"): LIN}, 8)  # no link params
     rate_fn = with_link_params(
@@ -98,6 +116,38 @@ def test_oracle_refusals():
     )
     with pytest.raises(ValueError):
         oracle_optimal(rate_fn, {("a", "b"): LIN}, 8)
+    for bad in ({}, {("a", "zz"): LIN}, {("a", "a"): LIN}):
+        with pytest.raises(ValueError):
+            oracle_optimal(diamond_network(), bad, 8)
+
+
+LOG = Utility("log1p", 1)
+
+
+@pytest.mark.parametrize(
+    "net,commodities",
+    [
+        (two_node_network(), {("a", "b"): Utility("log1p", 2)}),
+        (two_node_network(), {("a", "b"): Utility("log1p", 2), ("b", "a"): LOG}),
+        (diamond_network(), {("a", "b"): LOG}),
+        (diamond_network(), {("a", "b"): LOG, ("m1", "m2"): Utility("log1p", 2)}),
+        (diamond_network(), {("a", "b"): LOG, ("m1", "m2"): Utility("log1p", 2), ("b", "a"): LOG}),
+    ],
+    ids=["two-node-1", "two-node-2", "diamond-1", "diamond-2", "diamond-3"],
+)
+def test_oracle_log1p_against_grid_referee(net, commodities):
+    res = oracle_optimal(net, commodities, 8)
+    referee_value, _ = grid_oracle(net, commodities, 8)
+    assert res.value >= referee_value - 1e-9
+    assert fixed_rate_feasible(net, res.rates)
+    assert _certified(res)
+
+
+def test_oracle_three_commodity_log1p_diamond_is_fast():
+    commodities = {("a", "b"): LOG, ("m1", "m2"): Utility("log1p", 2), ("b", "a"): LOG}
+    t0 = time.perf_counter()
+    oracle_optimal(diamond_network(), commodities, 8)
+    assert time.perf_counter() - t0 < 1.0
 
 
 # -- runs ------------------------------------------------------------------------
@@ -162,8 +212,6 @@ def test_metrics_tail_windows():
         delivered={"b": __import__("numpy").ones(10)},
         utility=__import__("numpy").arange(10.0),
         backlog=__import__("numpy").arange(10.0),
-        stores={},
-        key_margin=__import__("numpy").zeros(10),
     )
     assert m.admitted_rate(("a", "b"), tail=0.8) == pytest.approx(5.5)  # mean of 2..9
     assert m.delivered_rate("b", tail=1.0) == 1.0
