@@ -31,14 +31,11 @@ from .security import (
     Scheme,
     demo7_network,
     find_secure_path,
-    has_direct_link,
     insecure_edges,
     is_strongest,
     m0_exchange,
     min_strongest_attack,
     multipath_exchange,
-    scheme_threshold,
-    sec,
     security_oracle,
 )
 

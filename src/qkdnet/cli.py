@@ -233,12 +233,7 @@ def _cmd_assess(cfg: _Config, args: argparse.Namespace) -> int:
         print("secure path: none")
     else:
         print("strongest attack: no")
-        path = find_secure_path(g, attack)
-        if path is None:
-            # only on direct-link networks where the edge itself is the route
-            print(f"secure path: direct link {a}-{b}")
-        else:
-            print(f"secure path: {_fmt_path(path)}")
+        print(f"secure path: {_fmt_path(find_secure_path(g, attack))}")
     if cfg.scheme is not None:
         # the GF(2) verdict, not the path hit count: routes may share edges
         print(f"scheme sec={int(security_oracle(g, cfg.scheme, attack) == PERFECTLY_SECRET)}")
@@ -263,7 +258,7 @@ def _cmd_exchange(cfg: _Config, args: argparse.Namespace) -> int:
     g = cfg.network
     g.require_endpoints()
     kind = args.scheme or cfg.kind
-    n_bits = args.n_bits or cfg.n_bits
+    n_bits = cfg.n_bits if args.n_bits is None else args.n_bits
     rng = Random(cfg.seed)
     keys = KeyAssignment.random(g, n_bits, rng)
     if kind == "m0":

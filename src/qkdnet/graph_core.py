@@ -12,7 +12,7 @@ lexicographically smallest witness, so repeated runs produce identical output.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -61,13 +61,6 @@ class Edge:
     @property
     def pair(self) -> frozenset[str]:
         return frozenset((self.u, self.v))
-
-    def other(self, node: str) -> str:
-        if node == self.u:
-            return self.v
-        if node == self.v:
-            return self.u
-        raise UnknownNodeError(f"node {node!r} is not an endpoint of edge {self.id!r}")
 
 
 @dataclass(frozen=True)
@@ -191,12 +184,9 @@ class Network:
         return len(self.adjacency[v])
 
 
-def enumerate_simple_paths(
-    g: Network, a: str, b: str, max_len: int | None = None
-) -> Iterator[Path]:
-    """Yield every simple ``a`` to ``b`` path with at most ``max_len`` hops.
+def enumerate_simple_paths(g: Network, a: str, b: str) -> Iterator[Path]:
+    """Yield every simple ``a`` to ``b`` path.
 
-    ``max_len`` defaults to the node count, which admits every simple path.
     Paths come out in lexicographic order of their node sequences because
     neighbors are explored in sorted order.
     """
@@ -204,20 +194,16 @@ def enumerate_simple_paths(
     g.require_node(b)
     if a == b:
         raise ValueError("path endpoints must differ")
-    limit = len(g.nodes) if max_len is None else max_len
     adj = g.adjacency
 
     def walk(node: str, trail: tuple[str, ...], seen: frozenset[str]) -> Iterator[Path]:
-        # hops used so far = len(trail) - 1; one more hop lands on a neighbor.
         for nxt in adj[node]:
             if nxt == b:
-                if len(trail) <= limit:
-                    yield Path(trail + (b,))
-            elif nxt not in seen and len(trail) < limit:
+                yield Path(trail + (b,))
+            elif nxt not in seen:
                 yield from walk(nxt, trail + (nxt,), seen | {nxt})
 
-    if limit >= 1:
-        yield from walk(a, (a,), frozenset((a,)))
+    yield from walk(a, (a,), frozenset((a,)))
 
 
 def disconnects(g: Network, removed: Iterable[str], a: str, b: str) -> bool:

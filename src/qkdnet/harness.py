@@ -21,7 +21,6 @@ from scipy.optimize import linprog
 
 from .graph_core import Network
 from .scheduler import (
-    ControlParams,
     NetworkState,
     ScheduleConfig,
     SlotAudit,
@@ -86,7 +85,6 @@ class Metrics:
     dests: tuple[str, ...]
     admitted: dict[tuple[str, str], np.ndarray]
     delivered: dict[str, np.ndarray]
-    utility: np.ndarray
     backlog: np.ndarray
 
     @staticmethod
@@ -96,7 +94,6 @@ class Metrics:
             dests=cfg.dests,
             admitted={p: np.zeros(T) for p in cfg.pairs},
             delivered={d: np.zeros(T) for d in cfg.dests},
-            utility=np.zeros(T),
             backlog=np.zeros(T),
         )
 
@@ -108,10 +105,10 @@ class Metrics:
         return x[len(x) - keep:]
 
     def admitted_rate(self, pair: tuple[str, str], tail: float = 0.8) -> float:
-        return float(np.mean(self._tail(self.admitted[pair], tail))) if len(self.utility) else 0.0
+        return float(np.mean(self._tail(self.admitted[pair], tail))) if len(self.backlog) else 0.0
 
     def delivered_rate(self, dest: str, tail: float = 0.8) -> float:
-        return float(np.mean(self._tail(self.delivered[dest], tail))) if len(self.utility) else 0.0
+        return float(np.mean(self._tail(self.delivered[dest], tail))) if len(self.backlog) else 0.0
 
     def utility_of_rates(self, commodities: Mapping[tuple[str, str], Utility], tail: float = 0.8) -> float:
         """Utility evaluated at the tail-averaged admitted rates."""
@@ -171,7 +168,6 @@ def run(
         bounds_checked = bounds_checked and audit.bounds_checked
         for pair, r in decision.R.items():
             m.admitted[pair][t] = r
-        m.utility[t] = sum(cfg.commodities[p].value(r) for p, r in decision.R.items())
         for dest, amount in audit.delivered.items():
             m.delivered[dest][t] = amount
         if observer is not None:

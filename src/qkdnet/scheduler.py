@@ -47,8 +47,6 @@ __all__ = [
     "initial_state",
     "key_consumption",
     "key_gen_decision",
-    "lyapunov",
-    "random_feasible_decision",
     "schedule_commodity",
     "step",
 ]
@@ -135,9 +133,6 @@ class ControlParams:
     d_max: int
     gamma: Num
     theta: dict[str, Num]
-    n_nodes: int
-    n_edges: int
-    P_cap: Num
     K_max: Num
     B2: Num
     B: float
@@ -187,9 +182,6 @@ class ControlParams:
             d_max=d_max,
             gamma=gamma,
             theta=theta,
-            n_nodes=n,
-            n_edges=m,
-            P_cap=P_cap,
             K_max=K_max,
             B2=B2,
             B=B,
@@ -250,11 +242,17 @@ class ScheduleConfig:
 
 @dataclass
 class NetworkState:
-    """Slot counter, per-(node, destination) queues, per-edge key stores."""
+    """Slot counter, per-(node, destination) queues, per-edge key stores.
+
+    ``certified`` records whether every queue and store sat inside its
+    certified range when the state was made: true for the initial state,
+    and the result of ``step``'s bounds scan for every state it returns.
+    """
 
     t: int
     Q: dict[tuple[str, str], Num]
     E: dict[str, Num]
+    certified: bool
 
 
 @dataclass(frozen=True)
@@ -293,7 +291,7 @@ class SlotAudit:
 def initial_state(cfg: ScheduleConfig) -> NetworkState:
     Q = {(v, dest): 0 for v in cfg.network.nodes for dest in cfg.dests}
     E = {e.id: 0 for e in cfg.network.edges}
-    return NetworkState(0, Q, E)
+    return NetworkState(0, Q, E, certified=True)
 
 
 def _bounds_violation(state: NetworkState, params: ControlParams) -> str | None:
@@ -315,22 +313,6 @@ def _bounds_violation(state: NetworkState, params: ControlParams) -> str | None:
         if e < -tol or e > e_hi + tol:
             return f"key store {eid} = {e} outside [0, {e_hi}] entering slot {state.t}"
     return None
-
-
-def within_certified_bounds(state: NetworkState, params: ControlParams) -> bool:
-    """True iff every queue and key store sits inside its certified range.
-
-    The controller preserves this set; decisions injected from outside the
-    controller can leave it, after which the bounds are no longer promised.
-    """
-    return _bounds_violation(state, params) is None
-
-
-def lyapunov(state: NetworkState, params: ControlParams) -> float:
-    """Half the squared queue norm plus half the squared store deviation."""
-    q = sum(v * v for v in state.Q.values())
-    e = sum((state.E[eid] - th) ** 2 for eid, th in params.theta.items())
-    return (q + e) / 2
 
 
 def key_gen_decision(E: Num, theta: Num) -> int:
@@ -452,14 +434,15 @@ def step(
     immediately; destination queues stay pinned at zero.
 
     The certified queue and store bounds are a preservation property: a
-    controller step from a state inside them must land inside them, and such
+    controller step from a certified state must land inside them, and such
     steps raise StateInvariantError on any violation. Steps with an injected
     decision, or controller steps from a state already pushed outside the
     set by earlier injections, carry no such promise and skip the assert;
-    injected decisions still refuse to overdraw key stores.
+    injected decisions still refuse to overdraw key stores. Either way the
+    new state is scanned once and the result kept as its ``certified``.
     """
     params = cfg.params
-    check_bounds = decision is None and within_certified_bounds(state, params)
+    check_bounds = decision is None and state.certified
     if decision is None:
         decision = _controller_decision(state, cfg, rng)
 
@@ -495,11 +478,11 @@ def step(
     if served is not decision.served:
         decision = replace(decision, served=served)
 
-    new_state = NetworkState(state.t + 1, new_Q, new_E)
-    if check_bounds:
-        violation = _bounds_violation(new_state, params)
-        if violation is not None:
-            raise StateInvariantError(violation)
+    new_state = NetworkState(state.t + 1, new_Q, new_E, certified=False)
+    violation = _bounds_violation(new_state, params)
+    if violation is not None and check_bounds:
+        raise StateInvariantError(violation)
+    new_state.certified = violation is None
 
     audit = SlotAudit(
         availability_ok=min_margin >= 0,
@@ -515,7 +498,6 @@ class DriftAudit:
     ok: bool
     lhs: float
     rhs: float
-    exact: bool
 
 
 def drift_audit(
@@ -578,34 +560,4 @@ def drift_audit(
 
     tol = 0 if params.exact else 1e-9
     ok = lhs2 <= rhs2 + tol
-    return DriftAudit(ok=ok, lhs=lhs2 / 2, rhs=rhs2 / 2, exact=params.exact)
-
-
-def random_feasible_decision(
-    state: NetworkState, cfg: ScheduleConfig, rng: Random
-) -> StepDecision:
-    """Uniformly random decision within the action bounds (test hook).
-
-    Generation bits, admissions, key spends, and the served (direction,
-    destination) pick are all random; spends stay within both P_max and the
-    current store so the step is physically executable. Weights are ignored
-    on purpose, which can serve a commodity uphill.
-    """
-    params = cfg.params
-    S = {eid: rng.randint(0, 1) for eid in state.E}
-    R: dict[tuple[str, str], Num] = {}
-    for pair in cfg.pairs:
-        R[pair] = rng.randint(0, params.R_max) if params.exact else rng.uniform(0, params.R_max)
-    P: dict[str, Num] = {}
-    served: dict[str, ServedFlow] = {}
-    for e in cfg.network.edges:
-        lp = cfg.links[e.id]
-        cap = max(0, min(lp.P_max, state.E[e.id]))
-        P[e.id] = rng.randint(0, int(cap)) if params.exact else rng.uniform(0, cap)
-        mu = lp.rate(P[e.id])
-        if mu > 0 and rng.random() < 0.8:
-            src, dst = (e.u, e.v) if rng.random() < 0.5 else (e.v, e.u)
-            dest = cfg.dests[rng.randrange(len(cfg.dests))]
-            if dest != src:
-                served[e.id] = ServedFlow(src=src, dst=dst, dest=dest, nominal=mu, actual=mu)
-    return StepDecision(S=S, R=R, P=P, served=served, injected=True)
+    return DriftAudit(ok=ok, lhs=lhs2 / 2, rhs=rhs2 / 2)

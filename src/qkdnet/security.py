@@ -11,17 +11,19 @@ per-hop one-time-pad re-encryption. The whole-network scheme has every relay
 broadcast the XOR of all its incident edge keys, which lets Bob reconstruct
 the XOR of the keys incident to Alice.
 
-``security_oracle`` is the independent referee. Every view symbol and every
-secret of both schemes is an XOR of uniform key and coin bits, so the secret
-is perfectly secret iff its mask lies outside the GF(2) span of the view
-masks (N. Cai and R. W. Yeung, "Secure Network Coding", ISIT 2002). The test
-is Gaussian elimination on bitmasks and has no size limit. An exhaustive
-enumeration in the test suite referees it on small instances.
+``security_oracle`` is the package's one secrecy verdict and an independent
+referee for the cut-based assessment: the paper's ``sec`` of attack ``A``
+and scheme ``S`` is ``security_oracle(g, S, A) == "perfectly_secret"``.
+Every view symbol and every secret of both schemes is an XOR of uniform key
+and coin bits, so the secret is perfectly secret iff its mask lies outside
+the GF(2) span of the view masks (N. Cai and R. W. Yeung, "Secure Network
+Coding", ISIT 2002). The test is Gaussian elimination on bitmasks and has no
+size limit. An exhaustive enumeration in the test suite referees it on small
+instances.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import xor
@@ -29,8 +31,6 @@ from random import Random
 from typing import Iterable
 
 from .graph_core import (
-    DirectLinkError,
-    Edge,
     Network,
     Path,
     disconnects,
@@ -46,17 +46,12 @@ __all__ = [
     "PERFECTLY_SECRET",
     "Scheme",
     "demo7_network",
-    "DEMO7_ROUTE_SHORT",
-    "DEMO7_ROUTE_LONG",
     "find_secure_path",
-    "has_direct_link",
     "insecure_edges",
     "is_strongest",
     "m0_exchange",
     "min_strongest_attack",
     "multipath_exchange",
-    "scheme_threshold",
-    "sec",
     "security_oracle",
 ]
 
@@ -210,33 +205,16 @@ def insecure_edges(g: Network, attack: "AttackSet | Iterable[str]") -> frozenset
     return frozenset(e.id for e in g.edges if e.u in a.nodes or e.v in a.nodes)
 
 
-def sec(attack: "AttackSet | Iterable[str]", scheme: Scheme) -> int:
-    """1 if at least one path of the scheme avoids every compromised node."""
-    a = attack if isinstance(attack, AttackSet) else AttackSet(attack)
-    for endpoint in (scheme.alice, scheme.bob):
-        if endpoint in a.nodes:
-            raise ValueError(f"attack set may not contain endpoint {endpoint!r}")
-    for p in scheme.paths:
-        if not (set(p.nodes) & a.nodes):
-            return 1
-    return 0
-
-
-def has_direct_link(g: Network) -> bool:
-    alice, bob = g.require_endpoints()
-    return g.edge_between(alice, bob) is not None
-
-
 def is_strongest(g: Network, attack: "AttackSet | Iterable[str]") -> bool:
     """True iff no scheme whatsoever can survive this attack.
 
     That holds exactly when removing the compromised nodes disconnects alice
     from bob. With a direct alice-bob edge no attack qualifies, so this
-    returns False; callers can distinguish that case via has_direct_link.
+    returns False.
     """
     alice, bob = g.require_endpoints()
     a = _as_attack(g, attack)
-    if has_direct_link(g):
+    if g.edge_between(alice, bob) is not None:
         return False
     return disconnects(g, a.nodes, alice, bob)
 
@@ -262,26 +240,6 @@ def min_strongest_attack(g: Network) -> AttackSet:
     """
     alice, bob = g.require_endpoints()
     return AttackSet(min_vertex_cut(g, alice, bob))
-
-
-def scheme_threshold(scheme: Scheme) -> int | float:
-    """Minimum number of compromised nodes that breaks the scheme.
-
-    Exhaustive hitting-set search over the paths' interior nodes; infinity if
-    some path has no interior node at all (a direct link).
-    """
-    interiors = [p.interior for p in scheme.paths]
-    if any(not i for i in interiors):
-        return math.inf
-    pool = sorted(set().union(*interiors))
-    from itertools import combinations
-
-    for size in range(1, len(pool) + 1):
-        for combo in combinations(pool, size):
-            chosen = set(combo)
-            if all(chosen & i for i in interiors):
-                return size
-    return math.inf  # unreachable: hitting every interior with the full pool works
 
 
 def multipath_exchange(
@@ -427,7 +385,7 @@ def security_oracle(
 
 
 # Canonical demo topology: seven nodes, nine links, two internally disjoint
-# relay routes between a and b. Used across tests and CLI examples.
+# relay routes between a and b. Used across tests and the benchmark.
 _DEMO7_LINKS = (
     ("k1", "a", "c1"),
     ("k2", "a", "c3"),
@@ -439,10 +397,6 @@ _DEMO7_LINKS = (
     ("k8", "c5", "b"),
     ("k9", "c2", "b"),
 )
-
-DEMO7_ROUTE_SHORT = Path(("a", "c1", "c2", "b"))
-DEMO7_ROUTE_LONG = Path(("a", "c3", "c4", "c5", "b"))
-
 
 def demo7_network() -> Network:
     """The canonical 7-node demo network with endpoints a and b."""

@@ -1,4 +1,4 @@
-"""Brute-force oracles and graph enumeration shared across the test suite.
+"""Brute-force oracles, graph enumeration and test hooks for the suite.
 
 Everything here is deliberately naive: subset enumeration, permutation
 scans, depth-first searches written from scratch. The point is to check the
@@ -7,14 +7,15 @@ module may call the routines it is used to verify.
 """
 
 import itertools
+import math
 from random import Random
 
 import numpy as np
 from scipy.optimize import linprog
 
 from qkdnet.graph_core import Edge, Network, Path
-from qkdnet.scheduler import DriftAudit, LinkParams, StateInvariantError
-from qkdnet.security import BROKEN, PERFECTLY_SECRET, AttackSet
+from qkdnet.scheduler import DriftAudit, LinkParams, ServedFlow, StateInvariantError, StepDecision
+from qkdnet.security import BROKEN, PERFECTLY_SECRET, AttackSet, Scheme
 
 
 # -- labeled graph enumeration over bitmasks ---------------------------------
@@ -152,6 +153,43 @@ def interior_subsets(g: Network, a: str, b: str):
         yield from itertools.combinations(interior, r)
 
 
+# -- hit-count referees for disjoint routes -------------------------------------
+
+# the two internally disjoint relay routes of the seven-node demo network
+DEMO7_ROUTE_SHORT = Path(("a", "c1", "c2", "b"))
+DEMO7_ROUTE_LONG = Path(("a", "c3", "c4", "c5", "b"))
+
+
+def hit_count_sec(attack, scheme: Scheme) -> int:
+    """1 if at least one route of the scheme avoids every compromised node.
+
+    Agrees with the secrecy oracle only when the routes are internally
+    disjoint; routes that share an edge can leak with no attack at all.
+    """
+    a = AttackSet(attack)
+    for endpoint in (scheme.alice, scheme.bob):
+        if endpoint in a:
+            raise ValueError(f"attack set may not contain endpoint {endpoint!r}")
+    return int(any(not set(p.nodes) & a.nodes for p in scheme.paths))
+
+
+def scheme_threshold(scheme: Scheme) -> int | float:
+    """Fewest compromised nodes that hit every route: an exhaustive
+
+    hitting-set search over the routes' interior nodes. Infinity when some
+    route has no interior node (a direct link).
+    """
+    interiors = [p.interior for p in scheme.paths]
+    if any(not i for i in interiors):
+        return math.inf
+    pool = sorted(set().union(*interiors))
+    for size in range(1, len(pool) + 1):
+        for combo in itertools.combinations(pool, size):
+            if all(set(combo) & i for i in interiors):
+                return size
+    return math.inf  # unreachable: the full pool hits every interior
+
+
 # -- exhaustive secrecy referee ------------------------------------------------
 
 ENUM_MAX_NODES = 7
@@ -268,6 +306,34 @@ def diamond_network(K: int = 3, P_max: int = 3) -> Network:
     return with_link_params(net, LinkParams(K=K, P_max=P_max))
 
 
+def random_feasible_decision(state, cfg, rng: Random) -> StepDecision:
+    """Uniformly random decision within the action bounds, for injection.
+
+    Generation bits, admissions, key spends, and the served (direction,
+    destination) pick are all random; spends stay within both P_max and the
+    current store so the step is physically executable. Weights are ignored
+    on purpose, which can serve a commodity uphill.
+    """
+    params = cfg.params
+    S = {eid: rng.randint(0, 1) for eid in state.E}
+    R = {}
+    for pair in cfg.pairs:
+        R[pair] = rng.randint(0, params.R_max) if params.exact else rng.uniform(0, params.R_max)
+    P = {}
+    served = {}
+    for e in cfg.network.edges:
+        lp = cfg.links[e.id]
+        cap = max(0, min(lp.P_max, state.E[e.id]))
+        P[e.id] = rng.randint(0, int(cap)) if params.exact else rng.uniform(0, cap)
+        mu = lp.rate(P[e.id])
+        if mu > 0 and rng.random() < 0.8:
+            src, dst = (e.u, e.v) if rng.random() < 0.5 else (e.v, e.u)
+            dest = cfg.dests[rng.randrange(len(cfg.dests))]
+            if dest != src:
+                served[e.id] = ServedFlow(src=src, dst=dst, dest=dest, nominal=mu, actual=mu)
+    return StepDecision(S=S, R=R, P=P, served=served, injected=True)
+
+
 # -- static-oracle referee ----------------------------------------------------
 
 def fixed_rate_feasible(network: Network, rates: dict) -> bool:
@@ -373,7 +439,7 @@ def replay_drift_audit(state, decision, next_state, cfg) -> DriftAudit:
     Re-applies every served flow at its nominal rate, in step's operation
     order, to rebuild the nominal next state; checks that a controller step
     landed on it; and derives the doubled drift constant 2*B inline from the
-    control parameters instead of reading it.
+    network and its links instead of reading it.
     """
     params = cfg.params
     Q, E = state.Q, state.E
@@ -411,8 +477,11 @@ def replay_drift_audit(state, decision, next_state, cfg) -> DriftAudit:
         - 2 * params.V * reward
     )
 
-    rhs2 = params.n_nodes**2 * (3 * params.d_max**2 * params.mu_max**2 + 2 * params.R_max**2)
-    rhs2 += params.n_edges * (params.P_cap + params.K_max) ** 2
+    n, m = len(cfg.network.nodes), len(cfg.network.edges)
+    P_cap = max(lp.P_max for lp in links.values())
+    K_max = max(lp.K for lp in links.values())
+    rhs2 = n**2 * (3 * params.d_max**2 * params.mu_max**2 + 2 * params.R_max**2)
+    rhs2 += m * (P_cap + K_max) ** 2
     for eid in E:
         rhs2 += 2 * (E[eid] - theta[eid]) * decision.S[eid] * links[eid].K
         rhs2 -= 2 * (E[eid] - theta[eid]) * decision.P[eid]
@@ -421,4 +490,4 @@ def replay_drift_audit(state, decision, next_state, cfg) -> DriftAudit:
     for flow in decision.served.values():
         rhs2 -= 2 * flow.nominal * (Q[(flow.src, flow.dest)] - Q[(flow.dst, flow.dest)])
 
-    return DriftAudit(ok=lhs2 <= rhs2 + tol, lhs=lhs2 / 2, rhs=rhs2 / 2, exact=params.exact)
+    return DriftAudit(ok=lhs2 <= rhs2 + tol, lhs=lhs2 / 2, rhs=rhs2 / 2)

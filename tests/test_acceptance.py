@@ -14,22 +14,21 @@ import pytest
 
 from qkdnet.graph_core import max_disjoint_paths
 from qkdnet.harness import Scenario, oracle_optimal, run
-from qkdnet.scheduler import LinkParams, Utility, random_feasible_decision
+from qkdnet.scheduler import LinkParams, Utility
 from qkdnet.security import (
     BROKEN,
     PERFECTLY_SECRET,
-    DEMO7_ROUTE_LONG,
-    DEMO7_ROUTE_SHORT,
     KeyAssignment,
     Scheme,
     demo7_network,
     is_strongest,
     m0_exchange,
-    scheme_threshold,
     security_oracle,
 )
 
 from helpers import (
+    DEMO7_ROUTE_LONG,
+    DEMO7_ROUTE_SHORT,
     brute_has_avoiding_path,
     canonical_mask,
     connected_masks,
@@ -37,6 +36,8 @@ from helpers import (
     interior_subsets,
     network_from_mask,
     random_connected_mask,
+    random_feasible_decision,
+    scheme_threshold,
     two_node_network,
     with_link_params,
 )

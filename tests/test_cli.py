@@ -109,14 +109,26 @@ def test_attack_subcommand(fixture_cfg, capsys):
     assert "strongest attack: c1,c3 (size 2)" in out
 
 
+DIRECT_YAML = (
+    "alice: a\nbob: b\nedges:\n"
+    "  - {id: e1, u: a, v: b}\n  - {id: e2, u: a, v: c}\n  - {id: e3, u: c, v: b}\n"
+)
+
+
 def test_attack_direct_link(tmp_path, capsys):
     p = tmp_path / "direct.yaml"
-    p.write_text(
-        "alice: a\nbob: b\nedges:\n"
-        "  - {id: e1, u: a, v: b}\n  - {id: e2, u: a, v: c}\n  - {id: e3, u: c, v: b}\n"
-    )
+    p.write_text(DIRECT_YAML)
     assert cli.main(["attack", str(p)]) == 0
     assert "no strongest attack exists" in capsys.readouterr().out
+
+
+def test_assess_direct_link_secure_path_is_the_link(tmp_path, capsys):
+    p = tmp_path / "direct.yaml"
+    p.write_text(DIRECT_YAML)
+    assert cli.main(["assess", str(p), "--attack", "c"]) == 0
+    out = capsys.readouterr().out
+    assert "strongest attack: no\nsecure path: (a,b)\n" in out
+    assert out.endswith("sec=1\n")
 
 
 def test_exchange_m0_deterministic(fixture_cfg, capsys):
@@ -147,6 +159,15 @@ def test_exchange_verdict_on_routes_sharing_an_edge(fixture_cfg, capsys):
     ann = doc["announcements"]
     assert ann["p0:k1"] ^ ann["p1:k1"] == doc["alice_key"]
     assert "verdict: broken" in out
+
+
+def test_exchange_zero_bits_is_an_error(fixture_cfg, capsys):
+    assert cli.main(["exchange", fixture_cfg, "--n-bits", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert cli.main(["exchange", fixture_cfg, "--n-bits", "8"]) == 0
+    assert "n_bits: 8\n" in capsys.readouterr().out
 
 
 def test_exchange_multipath_to_file(fixture_cfg, tmp_path, capsys):

@@ -8,13 +8,14 @@ import pytest
 
 from qkdnet.graph_core import Network
 from qkdnet.harness import _ORACLE_GAP, Metrics, Scenario, oracle_optimal, run, v_sweep
-from qkdnet.scheduler import LinkParams, Utility, random_feasible_decision
+from qkdnet.scheduler import LinkParams, Utility
 from qkdnet.security import demo7_network
 
 from helpers import (
     diamond_network,
     fixed_rate_feasible,
     grid_oracle,
+    random_feasible_decision,
     two_node_network,
     with_link_params,
 )
@@ -156,7 +157,8 @@ def test_zero_horizon_run():
     s = Scenario.build(two_node_network(), {("a", "b"): LIN}, V=50, R_max=10, T=0, seed=1)
     r = run(s)
     assert r.drift_ok and r.availability_ok and r.bounds_checked
-    assert len(r.metrics.utility) == 0
+    assert len(r.metrics.backlog) == 0
+    assert r.metrics.admitted_rate(("a", "b")) == 0.0
     assert r.metrics.max_backlog() == 0
     assert r.metrics.delivered_rate("b") == 0.0
 
@@ -169,7 +171,7 @@ def test_negative_horizon_rejected():
 def test_run_is_deterministic():
     s = Scenario.build(diamond_network(), {("a", "b"): LIN}, V=80, R_max=8, T=3000, seed=12)
     r1, r2 = run(s), run(s)
-    assert (r1.metrics.utility == r2.metrics.utility).all()
+    assert (r1.metrics.admitted[("a", "b")] == r2.metrics.admitted[("a", "b")]).all()
     assert (r1.metrics.backlog == r2.metrics.backlog).all()
     assert r1.final_state.Q == r2.final_state.Q
     assert r1.final_state.E == r2.final_state.E
@@ -210,7 +212,6 @@ def test_metrics_tail_windows():
         dests=("b",),
         admitted={("a", "b"): __import__("numpy").arange(10.0)},
         delivered={"b": __import__("numpy").ones(10)},
-        utility=__import__("numpy").arange(10.0),
         backlog=__import__("numpy").arange(10.0),
     )
     assert m.admitted_rate(("a", "b"), tail=0.8) == pytest.approx(5.5)  # mean of 2..9

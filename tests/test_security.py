@@ -24,33 +24,32 @@ from qkdnet.security import (
     ExchangeTranscript,
     KeyAssignment,
     Scheme,
-    DEMO7_ROUTE_LONG,
-    DEMO7_ROUTE_SHORT,
     demo7_network,
     find_secure_path,
-    has_direct_link,
     insecure_edges,
     is_strongest,
     m0_exchange,
     min_strongest_attack,
     multipath_exchange,
-    scheme_threshold,
-    sec,
     security_oracle,
 )
 
 from helpers import (
+    DEMO7_ROUTE_LONG,
+    DEMO7_ROUTE_SHORT,
     EnumerationSizeError,
     brute_all_paths,
     brute_has_avoiding_path,
     canonical_mask,
     connected_masks,
     enumerate_oracle,
+    hit_count_sec,
     interior_subsets,
     mask_connected,
     network_from_mask,
     pair_list,
     random_connected_mask,
+    scheme_threshold,
 )
 
 
@@ -128,11 +127,11 @@ def test_insecure_edges_never_cover_clean_pairs(demo):
 
 
 def test_sec_per_scheme(demo, demo_scheme):
-    assert sec(AttackSet([]), demo_scheme) == 1
-    assert sec(AttackSet(["c1"]), demo_scheme) == 1  # long route survives
-    assert sec(AttackSet(["c3"]), demo_scheme) == 1  # short route survives
-    assert sec(AttackSet(["c2", "c3"]), demo_scheme) == 0
-    assert sec(AttackSet(["c1", "c3"]), demo_scheme) == 0
+    assert security_oracle(demo, demo_scheme, AttackSet([])) == PERFECTLY_SECRET
+    assert security_oracle(demo, demo_scheme, AttackSet(["c1"])) == PERFECTLY_SECRET  # long route unseen
+    assert security_oracle(demo, demo_scheme, AttackSet(["c3"])) == PERFECTLY_SECRET  # short route unseen
+    assert security_oracle(demo, demo_scheme, AttackSet(["c2", "c3"])) == BROKEN
+    assert security_oracle(demo, demo_scheme, AttackSet(["c1", "c3"])) == BROKEN
 
 
 def test_is_strongest_matches_brute_dfs(demo):
@@ -145,7 +144,7 @@ def test_is_strongest_false_on_direct_link():
     g = Network.from_links(
         [("e1", "a", "b"), ("e2", "a", "c"), ("e3", "c", "b")], alice="a", bob="b"
     )
-    assert has_direct_link(g)
+    assert g.edge_between("a", "b") is not None
     assert not is_strongest(g, ["c"])
 
 
@@ -455,7 +454,7 @@ def test_rank_test_matches_referee_overlapping_paths():
             scheme = Scheme(paths)
             for attack in interior_subsets(demo, "a", "b"):
                 verdict = _assert_agree(demo, scheme, attack)
-                hit_all = sec(attack, scheme) == 0
+                hit_all = hit_count_sec(attack, scheme) == 0
                 misjudged += verdict != (BROKEN if hit_all else PERFECTLY_SECRET)
     assert misjudged > 0
     # the two routes share edge k1, so p0:k1 ^ p1:k1 is the message itself
