@@ -7,6 +7,13 @@ simulation, scheduling) reads its topology through this module.
 All operations are deterministic: neighbor lists are sorted, path enumeration
 is lexicographic in the node sequence, and cut tie-breaks always pick the
 lexicographically smallest witness, so repeated runs produce identical output.
+
+Cuts and disjoint paths share one int-indexed unit-capacity max flow on the
+node-split digraph (Menger's theorem; Edmonds and Karp, JACM 1972). The
+lexicographically least minimum cut takes one max flow plus at most one
+cancelled unit and one augmentation per candidate node, O(k*m + n*m) for a
+cut of size k. Path enumeration prunes every branch that can no longer
+reach ``b``, so the delay between two paths is polynomial.
 """
 
 from __future__ import annotations
@@ -188,22 +195,39 @@ def enumerate_simple_paths(g: Network, a: str, b: str) -> Iterator[Path]:
     """Yield every simple ``a`` to ``b`` path.
 
     Paths come out in lexicographic order of their node sequences because
-    neighbors are explored in sorted order.
+    neighbors are explored in sorted order. Each depth-first step first
+    finds, by one search from ``b`` that avoids the current trail, the
+    nodes that can still reach ``b``, and descends only into those: every
+    descent ends in a path, so the delay between two paths is polynomial.
     """
     g.require_node(a)
     g.require_node(b)
     if a == b:
         raise ValueError("path endpoints must differ")
     adj = g.adjacency
+    on_trail = {a}
 
-    def walk(node: str, trail: tuple[str, ...], seen: frozenset[str]) -> Iterator[Path]:
+    def reaching_b() -> set[str]:
+        reach = {b}
+        queue = [b]
+        for x in queue:
+            for y in adj[x]:
+                if y not in reach and y not in on_trail:
+                    reach.add(y)
+                    queue.append(y)
+        return reach
+
+    def walk(node: str, trail: tuple[str, ...]) -> Iterator[Path]:
+        reach = reaching_b()
         for nxt in adj[node]:
             if nxt == b:
                 yield Path(trail + (b,))
-            elif nxt not in seen:
-                yield from walk(nxt, trail + (nxt,), seen | {nxt})
+            elif nxt in reach:
+                on_trail.add(nxt)
+                yield from walk(nxt, trail + (nxt,))
+                on_trail.remove(nxt)
 
-    yield from walk(a, (a,), frozenset((a,)))
+    yield from walk(a, (a,))
 
 
 def disconnects(g: Network, removed: Iterable[str], a: str, b: str) -> bool:
@@ -228,70 +252,105 @@ def disconnects(g: Network, removed: Iterable[str], a: str, b: str) -> bool:
     return True
 
 
-# Internal max-flow on the node-split digraph. Interior nodes get a unit arc
-# from their in-copy to their out-copy, every undirected edge gets a unit arc
-# in each direction, so the max a->b flow equals the largest set of
-# internally node-disjoint paths.
+class _SplitFlow:
+    """Unit-capacity ``a`` to ``b`` max flow on the node-split digraph of ``g``.
 
-_Tok = tuple[str, str]
+    Node ``i``, its position in the sorted ``g.nodes``, has in-copy ``2i``
+    and out-copy ``2i + 1``. Each interior node gets a unit arc from its
+    in-copy to its out-copy and each edge direction ``x -> y`` a unit arc
+    ``x_out -> y_in``; arcs out of ``b`` or into ``a`` carry no flow and are
+    left out. So the flow value is the largest number of internally
+    node-disjoint paths. Arc ``e`` and its reverse ``e ^ 1`` are paired in
+    ``head`` and ``cap`` (residual capacity): a forward arc, always even,
+    carries flow iff its ``cap`` is 0, except the arc of a node that
+    ``cut_node`` removed, whose in-copy no flow reaches. Each vertex lists
+    its arcs by head index, which is (label, in/out) order, so the
+    breadth-first searches (Edmonds-Karp) pick the same augmenting paths on
+    every run.
+    """
 
+    def __init__(self, g: Network, a: str, b: str) -> None:
+        index = {v: i for i, v in enumerate(g.nodes)}
+        ia, ib = index[a], index[b]
+        head: list[int] = []
+        self.node_arc = [-1] * len(g.nodes)
+        for i in range(len(g.nodes)):
+            if i != ia and i != ib:
+                self.node_arc[i] = len(head)
+                head += (2 * i + 1, 2 * i)
+        for e in g.edges:
+            for x, y in ((index[e.u], index[e.v]), (index[e.v], index[e.u])):
+                if x != ib and y != ia:
+                    head += (2 * y, 2 * x + 1)
+        self.head = head
+        self.cap = [1, 0] * (len(head) // 2)
+        self.out: list[list[int]] = [[] for _ in range(2 * len(g.nodes))]
+        for arc in range(len(head)):
+            self.out[head[arc ^ 1]].append(arc)
+        for arcs in self.out:
+            arcs.sort(key=head.__getitem__)
+        self.source, self.sink = 2 * ia + 1, 2 * ib
+        self.value = 0
+        while self.augment():
+            self.value += 1
 
-def _split_arcs(
-    g: Network, a: str, b: str, removed: frozenset[str]
-) -> tuple[dict[_Tok, list[_Tok]], dict[tuple[_Tok, _Tok], int]]:
-    adj: dict[_Tok, list[_Tok]] = {}
-    cap: dict[tuple[_Tok, _Tok], int] = {}
+    def augment(self) -> bool:
+        """Push one unit along a shortest residual path; False if none exists."""
+        head, cap, out, source, sink = self.head, self.cap, self.out, self.source, self.sink
+        via = [-1] * len(out)
+        via[source] = len(head)
+        queue = [source]
+        for x in queue:
+            for arc in out[x]:
+                y = head[arc]
+                if cap[arc] and via[y] < 0:
+                    via[y] = arc
+                    if y == sink:
+                        while y != source:
+                            arc = via[y]
+                            cap[arc] -= 1
+                            cap[arc ^ 1] += 1
+                            y = head[arc ^ 1]
+                        return True
+                    queue.append(y)
+        return False
 
-    def add(x: _Tok, y: _Tok) -> None:
-        adj.setdefault(x, []).append(y)
-        adj.setdefault(y, []).append(x)
-        cap[(x, y)] = 1
-        cap.setdefault((y, x), 0)
+    def flow_arc(self, x: int) -> int:
+        """The first arc carrying flow out of vertex ``x``."""
+        cap = self.cap
+        return next(arc for arc in self.out[x] if not arc & 1 and not cap[arc])
 
-    for v in g.nodes:
-        if v in removed or v in (a, b):
-            continue
-        add((v, "in"), (v, "out"))
-    for e in g.edges:
-        if e.u in removed or e.v in removed:
-            continue
-        for x, y in ((e.u, e.v), (e.v, e.u)):
-            # arcs out of the sink or into the source carry no flow
-            if x == b or y == a:
-                continue
-            add((x, "out"), (y, "in"))
-    for lst in adj.values():
-        lst.sort()
-    return adj, cap
+    def cut_node(self, i: int) -> bool:
+        """Remove interior node ``i`` iff that lowers the max flow value.
 
-
-def _max_flow(
-    g: Network, a: str, b: str, removed: frozenset[str] = frozenset()
-) -> tuple[int, dict[tuple[_Tok, _Tok], int], dict[_Tok, list[_Tok]]]:
-    """Edmonds-Karp on the split digraph; returns (value, per-arc flow, adjacency)."""
-    source: _Tok = (a, "out")
-    sink: _Tok = (b, "in")
-    adj, cap = _split_arcs(g, a, b, removed)
-    flow: dict[tuple[_Tok, _Tok], int] = {arc: 0 for arc in cap}
-    value = 0
-    while True:
-        parent: dict[_Tok, _Tok] = {source: source}
-        frontier = deque((source,))
-        while frontier and sink not in parent:
-            cur = frontier.popleft()
-            for nxt in adj.get(cur, ()):
-                if nxt not in parent and cap.get((cur, nxt), 0) - flow.get((cur, nxt), 0) > 0:
-                    parent[nxt] = cur
-                    frontier.append(nxt)
-        if sink not in parent:
-            return value, flow, adj
-        node = sink
-        while node != source:
-            prev = parent[node]
-            flow[(prev, node)] = flow.get((prev, node), 0) + 1
-            flow[(node, prev)] = flow.get((node, prev), 0) - 1
-            node = prev
-        value += 1
+        On True, ``i`` stays removed and the flow is a max flow of the
+        remainder, one unit smaller. On False, ``i`` stays in and the flow,
+        possibly rerouted, keeps its value.
+        """
+        head, cap = self.head, self.cap
+        node = self.node_arc[i]
+        if cap[node]:  # no flow through i survives its removal
+            return False
+        strand = [node]
+        y = head[node]
+        while y != self.sink:
+            arc = self.flow_arc(y)
+            strand.append(arc)
+            y = head[arc]
+            if y == 2 * i:  # a circulation: i carries no a-b flow
+                return False
+        y = 2 * i
+        while y != self.source:
+            arc = next(arc for arc in self.out[y] if arc & 1 and cap[arc])
+            strand.append(arc ^ 1)
+            y = head[arc]
+        for arc in strand:
+            cap[arc], cap[arc ^ 1] = 1, 0
+        cap[node] = 0
+        if self.augment():
+            cap[node] = 1
+            return False
+        return True
 
 
 def min_vertex_cut(g: Network, a: str, b: str) -> frozenset[str]:
@@ -300,6 +359,11 @@ def min_vertex_cut(g: Network, a: str, b: str) -> frozenset[str]:
     Among all minimum cuts the lexicographically smallest one (as a sorted
     label tuple) is returned. Raises DirectLinkError when the endpoints are
     adjacent, since then no interior set can separate them.
+
+    One max flow of value ``k`` is computed; then each interior node, in
+    label order, joins the cut iff removing it lowers the flow value, which
+    needs at most one cancelled unit and one augmentation. The total cost is
+    O(k*m + n*m).
     """
     g.require_node(a)
     g.require_node(b)
@@ -307,16 +371,15 @@ def min_vertex_cut(g: Network, a: str, b: str) -> frozenset[str]:
         raise ValueError("endpoints must differ")
     if g.edge_between(a, b) is not None:
         raise DirectLinkError(f"{a!r} and {b!r} share a direct edge; no interior cut exists")
-    k, _, _ = _max_flow(g, a, b)
+    flow = _SplitFlow(g, a, b)
     chosen: list[str] = []
-    need = k
+    need = flow.value
     # Greedy by label: v joins the cut iff some minimum cut extends
     # chosen + [v], i.e. the remainder still separates with need - 1 nodes.
-    for v in sorted(set(g.nodes) - {a, b}):
+    for i, v in enumerate(g.nodes):
         if need == 0:
             break
-        rest, _, _ = _max_flow(g, a, b, removed=frozenset(chosen) | {v})
-        if rest == need - 1:
+        if v not in (a, b) and flow.cut_node(i):
             chosen.append(v)
             need -= 1
     if need != 0:  # cannot happen: the greedy always completes a minimum cut
@@ -334,21 +397,18 @@ def max_disjoint_paths(g: Network, a: str, b: str) -> tuple[Path, ...]:
     g.require_node(b)
     if a == b:
         raise ValueError("endpoints must differ")
-    value, flow, adj = _max_flow(g, a, b)
+    flow = _SplitFlow(g, a, b)
     paths = []
-    for _ in range(value):
-        cur: _Tok = (a, "out")
+    for _ in range(flow.value):
+        y = flow.source
         trail = [a]
-        while True:
-            # adjacency lists are sorted, so the first positive-flow arc is
-            # the lexicographically smallest next hop
-            nxt = next(t for t in adj[cur] if flow.get((cur, t), 0) > 0)
-            flow[(cur, nxt)] -= 1
-            node = nxt[0]
-            trail.append(node)
-            if node == b:
-                break
-            flow[(nxt, (node, "out"))] -= 1
-            cur = (node, "out")
+        while y != flow.sink:
+            # arc lists are sorted by head, so the first flow arc is the
+            # lexicographically smallest next hop
+            arc = flow.flow_arc(y)
+            flow.cap[arc] = 1
+            y = flow.head[arc]
+            if not y & 1:
+                trail.append(g.nodes[y >> 1])
         paths.append(Path(tuple(trail)))
     return tuple(sorted(paths, key=lambda p: p.nodes))

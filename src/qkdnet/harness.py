@@ -12,12 +12,12 @@ measured utility against the oracle value minus the guaranteed gap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .graph_core import Network
 from .scheduler import (
@@ -238,6 +238,12 @@ def oracle_optimal(
     and the utility of its rates agree within the gap. A linear utility is
     its own tangent, so linear instances take one LP.
     """
+    if not (math.isfinite(R_max) and R_max > 0):
+        raise ValueError(f"R_max must be positive and finite, got {R_max!r}")
+    # imported here, not at module level: scipy.optimize costs every
+    # ``import qkdnet`` most of its start-up time and memory
+    from scipy.optimize import linprog
+
     caps = _edge_capacities(network)
     if not commodities:
         raise ValueError("at least one commodity is required")

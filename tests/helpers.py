@@ -8,12 +8,13 @@ module may call the routines it is used to verify.
 
 import itertools
 import math
+from collections import deque
 from random import Random
 
 import numpy as np
 from scipy.optimize import linprog
 
-from qkdnet.graph_core import Edge, Network, Path
+from qkdnet.graph_core import DirectLinkError, Edge, Network, Path
 from qkdnet.scheduler import DriftAudit, LinkParams, ServedFlow, StateInvariantError, StepDecision
 from qkdnet.security import BROKEN, PERFECTLY_SECRET, AttackSet, Scheme
 
@@ -151,6 +152,165 @@ def interior_subsets(g: Network, a: str, b: str):
     interior = sorted(v for v in g.nodes if v != a and v != b)
     for r in range(len(interior) + 1):
         yield from itertools.combinations(interior, r)
+
+
+# -- graph referees: the per-candidate dict-keyed flow and the backtracking DFS
+
+def backtracking_simple_paths(g: Network, a: str, b: str):
+    """Every simple a-b path in lexicographic order, by a plain DFS that
+
+    backtracks out of dead ends: the referee for ``enumerate_simple_paths``.
+    """
+    g.require_node(a)
+    g.require_node(b)
+    if a == b:
+        raise ValueError("path endpoints must differ")
+    adj = g.adjacency
+
+    def walk(node, trail, seen):
+        for nxt in adj[node]:
+            if nxt == b:
+                yield Path(trail + (b,))
+            elif nxt not in seen:
+                yield from walk(nxt, trail + (nxt,), seen | {nxt})
+
+    yield from walk(a, (a,), frozenset((a,)))
+
+
+def backtracking_secure_path(g: Network, attack) -> Path | None:
+    """First backtracking-DFS path that avoids the attack: the referee for
+
+    ``find_secure_path``.
+    """
+    gone = set(AttackSet(attack).nodes)
+    sub = Network(
+        tuple(v for v in g.nodes if v not in gone),
+        tuple(e for e in g.edges if e.u not in gone and e.v not in gone),
+        g.alice,
+        g.bob,
+    )
+    return next(backtracking_simple_paths(sub, g.alice, g.bob), None)
+
+
+def _dict_split_arcs(g: Network, a: str, b: str, removed: frozenset):
+    """Node-split digraph keyed by (label, "in"/"out") tokens, minus ``removed``."""
+    adj: dict = {}
+    cap: dict = {}
+
+    def add(x, y):
+        adj.setdefault(x, []).append(y)
+        adj.setdefault(y, []).append(x)
+        cap[(x, y)] = 1
+        cap.setdefault((y, x), 0)
+
+    for v in g.nodes:
+        if v in removed or v in (a, b):
+            continue
+        add((v, "in"), (v, "out"))
+    for e in g.edges:
+        if e.u in removed or e.v in removed:
+            continue
+        for x, y in ((e.u, e.v), (e.v, e.u)):
+            if x == b or y == a:
+                continue
+            add((x, "out"), (y, "in"))
+    for lst in adj.values():
+        lst.sort()
+    return adj, cap
+
+
+def dict_max_flow(g: Network, a: str, b: str, removed: frozenset = frozenset()):
+    """Edmonds-Karp on the dict-keyed split digraph; (value, per-arc flow, adjacency)."""
+    source, sink = (a, "out"), (b, "in")
+    adj, cap = _dict_split_arcs(g, a, b, removed)
+    flow = {arc: 0 for arc in cap}
+    value = 0
+    while True:
+        parent = {source: source}
+        frontier = deque((source,))
+        while frontier and sink not in parent:
+            cur = frontier.popleft()
+            for nxt in adj.get(cur, ()):
+                if nxt not in parent and cap.get((cur, nxt), 0) - flow.get((cur, nxt), 0) > 0:
+                    parent[nxt] = cur
+                    frontier.append(nxt)
+        if sink not in parent:
+            return value, flow, adj
+        node = sink
+        while node != source:
+            prev = parent[node]
+            flow[(prev, node)] = flow.get((prev, node), 0) + 1
+            flow[(node, prev)] = flow.get((node, prev), 0) - 1
+            node = prev
+        value += 1
+
+
+def rerun_min_vertex_cut(g: Network, a: str, b: str) -> frozenset[str]:
+    """Lex-min minimum vertex cut by one fresh max flow per candidate label:
+
+    the referee for ``min_vertex_cut``.
+    """
+    if g.edge_between(a, b) is not None:
+        raise DirectLinkError(f"{a!r} and {b!r} share a direct edge")
+    need, _, _ = dict_max_flow(g, a, b)
+    chosen: list[str] = []
+    for v in sorted(set(g.nodes) - {a, b}):
+        if need == 0:
+            break
+        rest, _, _ = dict_max_flow(g, a, b, removed=frozenset(chosen) | {v})
+        if rest == need - 1:
+            chosen.append(v)
+            need -= 1
+    assert need == 0, (chosen, need)
+    return frozenset(chosen)
+
+
+def dict_flow_disjoint_paths(g: Network, a: str, b: str) -> tuple[Path, ...]:
+    """Disjoint-path family read off ``dict_max_flow``, smallest next hop
+
+    first: the referee for ``max_disjoint_paths``.
+    """
+    value, flow, adj = dict_max_flow(g, a, b)
+    paths = []
+    for _ in range(value):
+        cur = (a, "out")
+        trail = [a]
+        while True:
+            nxt = next(t for t in adj[cur] if flow.get((cur, t), 0) > 0)
+            flow[(cur, nxt)] -= 1
+            node = nxt[0]
+            trail.append(node)
+            if node == b:
+                break
+            flow[(nxt, (node, "out"))] -= 1
+            cur = (node, "out")
+        paths.append(Path(tuple(trail)))
+    return tuple(sorted(paths, key=lambda p: p.nodes))
+
+
+def random_relay_graph(rng: Random, n: int) -> Network:
+    """A sparse relay network with random labels: a ring lattice of ``n``
+
+    relays, each linked to the two nearest on either side, n/5 random
+    chords, and the endpoints on 3-5 random relays each. Labels are a
+    random permutation, so neither the cut nor the lexicographic path
+    order follows the topology.
+    """
+    links = set()
+    for i in range(n):
+        for d in (1, 2):
+            links.add(tuple(sorted((i, (i + d) % n))))
+    for _ in range(n // 5):
+        links.add(tuple(sorted(rng.sample(range(n), 2))))
+    alice, bob = n, n + 1
+    links.update((i, alice) for i in rng.sample(range(n), rng.randint(3, 5)))
+    links.update((i, bob) for i in rng.sample(range(n), rng.randint(3, 5)))
+    names = [f"r{k:03d}" for k in rng.sample(range(n + 2), n + 2)]
+    return Network.from_links(
+        [(f"e{k:04d}", names[i], names[j]) for k, (i, j) in enumerate(sorted(links))],
+        alice=names[alice],
+        bob=names[bob],
+    )
 
 
 # -- hit-count referees for disjoint routes -------------------------------------

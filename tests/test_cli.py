@@ -241,6 +241,14 @@ def test_oracle_solves_fixture(fixture_cfg, capsys):
     assert "U*=6" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("r_max", ["-1", "0"])
+def test_oracle_non_positive_r_max_exits_1(fixture_cfg, capsys, r_max):
+    assert cli.main(["oracle", fixture_cfg, "--r-max", r_max]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "R_max must be positive" in captured.err
+
+
 def test_oracle_identity_rate_link_carries_key_rate(tmp_path, capsys):
     # delta does not raise a one-time-pad link's capacity above K per slot
     p = tmp_path / "path.yaml"

@@ -1,5 +1,8 @@
 """Graph primitives against brute-force oracles."""
 
+import itertools
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 from random import Random
@@ -10,6 +13,7 @@ from qkdnet.graph_core import (
     Network,
     Path,
     UnknownNodeError,
+    _SplitFlow,
     disconnects,
     enumerate_simple_paths,
     max_disjoint_paths,
@@ -18,13 +22,18 @@ from qkdnet.graph_core import (
 from qkdnet.security import demo7_network
 
 from helpers import (
+    backtracking_simple_paths,
     brute_all_paths,
     brute_has_avoiding_path,
     brute_min_vertex_cut,
     connected_masks,
+    dict_flow_disjoint_paths,
     interior_subsets,
     network_from_mask,
+    pair_list,
     random_connected_mask,
+    random_relay_graph,
+    rerun_min_vertex_cut,
 )
 
 
@@ -104,8 +113,9 @@ def test_paths_match_brute_on_all_small_graphs():
     for n in (2, 3, 4, 5):
         for mask in connected_masks(n):
             g = network_from_mask(n, mask)
-            got = set(enumerate_simple_paths(g, "n0", f"n{n - 1}"))
-            assert got == set(brute_all_paths(g, "n0", f"n{n - 1}")), (n, mask)
+            got = list(enumerate_simple_paths(g, "n0", f"n{n - 1}"))
+            assert set(got) == set(brute_all_paths(g, "n0", f"n{n - 1}")), (n, mask)
+            assert got == list(backtracking_simple_paths(g, "n0", f"n{n - 1}")), (n, mask)
 
 
 def test_paths_same_endpoints_rejected():
@@ -154,6 +164,7 @@ def test_min_cut_exhaustive_small_graphs():
                     min_vertex_cut(g, a, b)
             else:
                 assert min_vertex_cut(g, a, b) == expected, (n, mask)
+                assert rerun_min_vertex_cut(g, a, b) == expected, (n, mask)
 
 
 def test_min_cut_random_medium_graphs():
@@ -168,6 +179,114 @@ def test_min_cut_random_medium_graphs():
                     min_vertex_cut(g, a, b)
             else:
                 assert min_vertex_cut(g, a, b) == expected
+
+
+def _shuffled_small_graph(rng: Random) -> Network:
+    """A random connected 3-9-node graph whose labels are a random permutation."""
+    n = rng.randint(3, 9)
+    mask = random_connected_mask(n, rng, p=rng.uniform(0.2, 0.7))
+    names = [f"v{k}" for k in rng.sample(range(n), n)]
+    links = [
+        (f"e{idx:02d}", names[i], names[j])
+        for idx, (i, j) in enumerate(pair_list(n))
+        if mask >> idx & 1
+    ]
+    return Network.from_links(links, alice=names[0], bob=names[-1], extra_nodes=names)
+
+
+def test_graph_primitives_match_referees_on_shuffled_small_graphs():
+    rng = Random(808)
+    for _ in range(400):
+        g = _shuffled_small_graph(rng)
+        a, b = g.alice, g.bob
+        assert max_disjoint_paths(g, a, b) == dict_flow_disjoint_paths(g, a, b)
+        assert list(enumerate_simple_paths(g, a, b)) == list(backtracking_simple_paths(g, a, b))
+        expected = brute_min_vertex_cut(g, a, b)
+        if expected is None:
+            with pytest.raises(DirectLinkError):
+                min_vertex_cut(g, a, b)
+        else:
+            assert min_vertex_cut(g, a, b) == rerun_min_vertex_cut(g, a, b) == expected
+
+
+# alice r049 and bob r066 are joined by 5-hop routes through r077-r081-r020-r114,
+# r126-r008-r009-r114 and r077-r104-r050-r042. Edmonds-Karp first sends a unit
+# along r077, r081, r020, r114. The second unit enters r114 from r009, backs
+# over r020, crosses the edge r020-r081 the other way and backs out of r081 to
+# r077 and on to r104, so the max flow keeps the 2-cycle r081 -> r020 -> r081,
+# which carries a unit through r020 and r081 without joining alice to bob.
+CIRCULATION_LINKS = [
+    ("e01", "r049", "r126"), ("e02", "r126", "r008"), ("e03", "r008", "r009"),
+    ("e04", "r009", "r114"), ("e05", "r114", "r066"), ("e06", "r049", "r077"),
+    ("e07", "r077", "r081"), ("e08", "r081", "r020"), ("e09", "r020", "r114"),
+    ("e10", "r077", "r104"), ("e11", "r104", "r050"), ("e12", "r050", "r042"),
+    ("e13", "r042", "r066"),
+]
+
+
+def test_min_cut_skips_a_candidate_on_a_flow_circulation():
+    g = Network.from_links(CIRCULATION_LINKS, alice="r049", bob="r066")
+    flow = _SplitFlow(g, "r049", "r066")
+    x, y = g.nodes.index("r081"), g.nodes.index("r020")
+    carried = {
+        (flow.head[arc ^ 1], flow.head[arc])
+        for arc in range(0, len(flow.head), 2)
+        if not flow.cap[arc]
+    }
+    assert {(2 * x + 1, 2 * y), (2 * y + 1, 2 * x)} <= carried
+    expected = frozenset({"r008", "r077"})
+    assert brute_min_vertex_cut(g, "r049", "r066") == expected
+    assert rerun_min_vertex_cut(g, "r049", "r066") == expected
+    assert min_vertex_cut(g, "r049", "r066") == expected
+    assert max_disjoint_paths(g, "r049", "r066") == dict_flow_disjoint_paths(g, "r049", "r066")
+
+
+def test_cut_and_disjoint_paths_match_referees_on_random_label_relay_graphs():
+    rng = Random(4242)
+    for _ in range(20):
+        g = random_relay_graph(rng, rng.randint(50, 150))
+        a, b = g.alice, g.bob
+        cut = min_vertex_cut(g, a, b)
+        assert cut == rerun_min_vertex_cut(g, a, b)
+        assert disconnects(g, cut, a, b)
+        assert max_disjoint_paths(g, a, b) == dict_flow_disjoint_paths(g, a, b)
+
+
+def worst_label_grid(n: int) -> Network:
+    """An n x n grid, row-major labels ``gRRCC``, bob on every node of row 0
+    and alice on three spaced nodes of the last row. Alice's three
+    neighbours are the only minimum cut and carry nearly the largest labels,
+    so the label-order greedy must rule out almost every node first.
+    """
+    def lab(r: int, c: int) -> str:
+        return f"g{r:02d}{c:02d}"
+
+    links = []
+    for r in range(n):
+        for c in range(n):
+            if c + 1 < n:
+                links.append((f"h{r:02d}{c:02d}", lab(r, c), lab(r, c + 1)))
+            if r + 1 < n:
+                links.append((f"v{r:02d}{c:02d}", lab(r, c), lab(r + 1, c)))
+    links += [(f"xa{c:02d}", "a", lab(n - 1, c)) for c in (n - 5, n - 3, n - 1)]
+    links += [(f"xb{c:02d}", "b", lab(0, c)) for c in range(n)]
+    return Network.from_links(links, alice="a", bob="b")
+
+
+def test_worst_label_grid_has_one_minimum_cut():
+    g = worst_label_grid(6)
+    interior = [v for v in g.nodes if v not in ("a", "b")]
+    separating = [s for s in itertools.combinations(interior, 3) if disconnects(g, s, "a", "b")]
+    assert separating == [("g0501", "g0503", "g0505")]
+    assert min_vertex_cut(g, "a", "b") == brute_min_vertex_cut(g, "a", "b") == set(separating[0])
+
+
+def test_worst_label_30x30_grid_cut_is_fast():
+    g = worst_label_grid(30)
+    t0 = time.perf_counter()
+    cut = min_vertex_cut(g, "a", "b")
+    assert time.perf_counter() - t0 < 1.0
+    assert cut == frozenset({"g2925", "g2927", "g2929"})
 
 
 def test_demo_min_cut():

@@ -1,7 +1,10 @@
 """Simulation runs, long-run metrics, and the static optimum oracle."""
 
 import math
+import subprocess
+import sys
 import time
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -120,6 +123,22 @@ def test_oracle_refusals():
     for bad in ({}, {("a", "zz"): LIN}, {("a", "a"): LIN}):
         with pytest.raises(ValueError):
             oracle_optimal(diamond_network(), bad, 8)
+
+
+@pytest.mark.parametrize("R_max", [-1, 0, math.nan, math.inf])
+def test_oracle_rejects_a_non_positive_or_non_finite_r_max(R_max):
+    with pytest.raises(ValueError, match="R_max must be positive and finite"):
+        oracle_optimal(diamond_network(), {("a", "b"): LIN}, R_max)
+
+
+def test_import_does_not_load_the_lp_solver():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, qkdnet; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={"PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 LOG = Utility("log1p", 1)

@@ -10,6 +10,7 @@ what it cannot enumerate.
 
 import itertools
 import math
+import time
 from random import Random
 
 import pytest
@@ -38,6 +39,7 @@ from helpers import (
     DEMO7_ROUTE_LONG,
     DEMO7_ROUTE_SHORT,
     EnumerationSizeError,
+    backtracking_secure_path,
     brute_all_paths,
     brute_has_avoiding_path,
     canonical_mask,
@@ -48,6 +50,7 @@ from helpers import (
     mask_connected,
     network_from_mask,
     pair_list,
+    random_relay_graph,
     random_connected_mask,
     scheme_threshold,
 )
@@ -157,6 +160,32 @@ def test_find_secure_path(demo):
     assert find_secure_path(demo, ["c1", "c3"]) is None
     p = find_secure_path(demo, [])
     assert p == Path(("a", "c1", "c2", "b"))
+
+
+def _random_attack(g: Network, rng: Random, p: float) -> list[str]:
+    return [v for v in g.nodes if v not in (g.alice, g.bob) and rng.random() < p]
+
+
+def test_secure_path_matches_backtracking_dfs_on_medium_random_label_graphs():
+    # the backtracking referee stays fast up to about 30 relays; beyond
+    # that its dead-end searches can run for minutes
+    rng = Random(31)
+    for _ in range(60):
+        g = random_relay_graph(rng, rng.randint(12, 30))
+        attack = _random_attack(g, rng, 0.15)
+        assert find_secure_path(g, attack) == backtracking_secure_path(g, attack)
+
+
+def test_secure_path_on_150_random_label_relays_is_fast():
+    rng = Random(150)
+    for _ in range(5):
+        g = random_relay_graph(rng, 150)
+        attack = _random_attack(g, rng, 0.1)
+        t0 = time.perf_counter()
+        path = find_secure_path(g, attack)
+        assert time.perf_counter() - t0 < 1.0
+        assert path is not None and not path.interior & set(attack)
+        path.edges_in(g)
 
 
 def test_scheme_threshold(demo_scheme):
