@@ -123,6 +123,8 @@ def _network(doc: dict[str, Any]) -> Network:
                 )
             except (TypeError, KeyError, ValueError) as e:
                 raise ConfigError(f"bad link params on edge {eid!r}: {e}") from e
+            for key in ("K", "P_max", "delta"):  # a YAML true would pass as 1
+                _number(getattr(lp, key), f"edge {eid!r} params.{key}")
         edges.append(Edge(eid, _label(item["u"], "edge u"), _label(item["v"], "edge v"), link_params=lp))
     nodes = {e.u for e in edges} | {e.v for e in edges}
     nodes.update(_label(v, "nodes entries") for v in _shaped(doc, "nodes", list, "nodes"))
@@ -138,6 +140,7 @@ def _commodities(raw: list[Any]) -> dict[tuple[str, str], Utility]:
             utility = Utility(item.get("utility", "linear"), item.get("w", 1))
         except (TypeError, KeyError, ValueError) as e:
             raise ConfigError(f"bad commodity entry {item!r}: {e}") from e
+        _number(utility.w, f"commodity {pair[0]}->{pair[1]} w")
         if pair in out:
             raise ConfigError(f"duplicate commodity {pair[0]}->{pair[1]}")
         out[pair] = utility

@@ -18,10 +18,9 @@ reach ``b``, so the delay between two paths is polynomial.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Container, Iterable, Iterator
 
 if TYPE_CHECKING:
     from .scheduler import LinkParams
@@ -86,14 +85,10 @@ class Path:
     def interior(self) -> frozenset[str]:
         return frozenset(self.nodes[1:-1])
 
-    @property
-    def hops(self) -> tuple[tuple[str, str], ...]:
-        return tuple(zip(self.nodes, self.nodes[1:]))
-
     def edges_in(self, g: "Network") -> tuple[Edge, ...]:
         """Map each hop to the network edge it rides on (errors if absent)."""
         out = []
-        for u, v in self.hops:
+        for u, v in zip(self.nodes, self.nodes[1:]):
             edge = g.edge_between(u, v)
             if edge is None:
                 raise ValueError(f"path hop {u!r}-{v!r} has no edge in the network")
@@ -191,6 +186,25 @@ class Network:
         return len(self.adjacency[v])
 
 
+def _require_pair(g: Network, a: str, b: str) -> None:
+    g.require_node(a)
+    g.require_node(b)
+    if a == b:
+        raise ValueError("endpoints must differ")
+
+
+def _reach(adj: dict[str, tuple[str, ...]], root: str, blocked: Container[str]) -> set[str]:
+    """Nodes reachable from ``root`` without entering a ``blocked`` node."""
+    reach = {root}
+    queue = [root]
+    for x in queue:
+        for y in adj[x]:
+            if y not in reach and y not in blocked:
+                reach.add(y)
+                queue.append(y)
+    return reach
+
+
 def enumerate_simple_paths(g: Network, a: str, b: str) -> Iterator[Path]:
     """Yield every simple ``a`` to ``b`` path.
 
@@ -200,25 +214,12 @@ def enumerate_simple_paths(g: Network, a: str, b: str) -> Iterator[Path]:
     nodes that can still reach ``b``, and descends only into those: every
     descent ends in a path, so the delay between two paths is polynomial.
     """
-    g.require_node(a)
-    g.require_node(b)
-    if a == b:
-        raise ValueError("path endpoints must differ")
+    _require_pair(g, a, b)
     adj = g.adjacency
     on_trail = {a}
 
-    def reaching_b() -> set[str]:
-        reach = {b}
-        queue = [b]
-        for x in queue:
-            for y in adj[x]:
-                if y not in reach and y not in on_trail:
-                    reach.add(y)
-                    queue.append(y)
-        return reach
-
     def walk(node: str, trail: tuple[str, ...]) -> Iterator[Path]:
-        reach = reaching_b()
+        reach = _reach(adj, b, on_trail)
         for nxt in adj[node]:
             if nxt == b:
                 yield Path(trail + (b,))
@@ -233,23 +234,11 @@ def enumerate_simple_paths(g: Network, a: str, b: str) -> Iterator[Path]:
 def disconnects(g: Network, removed: Iterable[str], a: str, b: str) -> bool:
     """True iff deleting ``removed`` leaves no ``a`` to ``b`` route."""
     gone = frozenset(removed)
-    for v in gone:
+    for v in (*gone, a, b):
         g.require_node(v)
-    g.require_node(a)
-    g.require_node(b)
     if a in gone or b in gone:
         raise ValueError("cannot remove an endpoint")
-    seen = {a}
-    frontier = deque((a,))
-    while frontier:
-        cur = frontier.popleft()
-        if cur == b:
-            return False
-        for nxt in g.adjacency[cur]:
-            if nxt not in seen and nxt not in gone:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return True
+    return b not in _reach(g.adjacency, a, gone)
 
 
 class _SplitFlow:
@@ -365,10 +354,7 @@ def min_vertex_cut(g: Network, a: str, b: str) -> frozenset[str]:
     needs at most one cancelled unit and one augmentation. The total cost is
     O(k*m + n*m).
     """
-    g.require_node(a)
-    g.require_node(b)
-    if a == b:
-        raise ValueError("endpoints must differ")
+    _require_pair(g, a, b)
     if g.edge_between(a, b) is not None:
         raise DirectLinkError(f"{a!r} and {b!r} share a direct edge; no interior cut exists")
     flow = _SplitFlow(g, a, b)
@@ -393,10 +379,7 @@ def max_disjoint_paths(g: Network, a: str, b: str) -> tuple[Path, ...]:
     A direct edge, when present, contributes the two-node path. With no
     direct edge the family size equals ``len(min_vertex_cut(g, a, b))``.
     """
-    g.require_node(a)
-    g.require_node(b)
-    if a == b:
-        raise ValueError("endpoints must differ")
+    _require_pair(g, a, b)
     flow = _SplitFlow(g, a, b)
     paths = []
     for _ in range(flow.value):

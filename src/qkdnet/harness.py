@@ -12,7 +12,6 @@ measured utility against the oracle value minus the guaranteed gap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Mapping, Sequence
@@ -26,6 +25,7 @@ from .scheduler import (
     SlotAudit,
     StepDecision,
     Utility,
+    _check_problem,
     drift_audit,
     initial_state,
     step,
@@ -46,6 +46,8 @@ __all__ = [
 # LP solver's accuracy floor and stop closing
 _ORACLE_GAP = 1e-7
 _ORACLE_MAX_ROUNDS = 200
+# finite-horizon allowance of a sweep row, as a fraction of the oracle value
+_SWEEP_SLACK = 0.02
 
 Injector = Callable[[NetworkState, ScheduleConfig, Random, int], StepDecision | None]
 Observer = Callable[[int, NetworkState, StepDecision, SlotAudit], None]
@@ -201,25 +203,6 @@ class OracleResult:
     upper: float
 
 
-def _edge_capacities(network: Network) -> np.ndarray:
-    """Long-run data capacity of each edge, in ``network.edges`` order.
-
-    A one-time-pad link moves one data bit per key bit spent and spends at
-    most ``P_max`` per slot, and at most ``K`` per slot on average.
-    """
-    caps = []
-    for e in network.edges:
-        lp = e.link_params
-        if lp is None:
-            raise ValueError(f"edge {e.id!r} has no link parameters")
-        if lp.mu_of_P is not None:
-            raise ValueError(
-                "the static oracle supports identity-rate (one-time pad) links only"
-            )
-        caps.append(min(lp.K, lp.P_max))
-    return np.array(caps, dtype=float)
-
-
 def oracle_optimal(
     network: Network,
     commodities: Mapping[tuple[str, str], Utility],
@@ -238,22 +221,18 @@ def oracle_optimal(
     and the utility of its rates agree within the gap. A linear utility is
     its own tangent, so linear instances take one LP.
     """
-    if not (math.isfinite(R_max) and R_max > 0):
-        raise ValueError(f"R_max must be positive and finite, got {R_max!r}")
+    links = _check_problem(network, commodities, R_max)
+    if any(lp.mu_of_P is not None for lp in links.values()):
+        raise ValueError("the static oracle supports identity-rate (one-time pad) links only")
     # imported here, not at module level: scipy.optimize costs every
     # ``import qkdnet`` most of its start-up time and memory
     from scipy.optimize import linprog
 
-    caps = _edge_capacities(network)
-    if not commodities:
-        raise ValueError("at least one commodity is required")
+    # a one-time-pad link moves one data bit per key bit spent, and spends
+    # at most P_max per slot and at most K per slot on average
+    caps = np.array([min(lp.K, lp.P_max) for lp in links.values()], dtype=float)
     pairs = sorted(commodities)
     utils = [commodities[p] for p in pairs]
-    for src, dst in pairs:
-        network.require_node(src)
-        network.require_node(dst)
-        if src == dst:
-            raise ValueError(f"commodity {src!r}->{dst!r} has equal endpoints")
     n, m, n_c = len(network.nodes), len(network.edges), len(pairs)
     index = {v: i for i, v in enumerate(network.nodes)}
 
@@ -333,13 +312,12 @@ def v_sweep(
     V_values: Sequence[int | float],
     seeds: Sequence[int] = (1,),
     tie_mode: str = "random",
-    slack: float = 0.02,
 ) -> list[SweepRow]:
     """Run the controller at each V and compare tail utility to the oracle.
 
     A row passes when the utility of the tail-averaged admitted rates is at
-    least the oracle value minus the guaranteed B_tilde/V gap, less a small
-    finite-horizon slack (a fraction of the oracle value).
+    least the oracle value minus the guaranteed B_tilde/V gap, less a
+    finite-horizon slack of ``_SWEEP_SLACK`` times the oracle value.
     """
     oracle = oracle_optimal(network, commodities, R_max)
     rows = []
@@ -351,7 +329,7 @@ def v_sweep(
                 raise RuntimeError(f"audit failed during sweep at V={V} seed={seed}")
             measured = result.metrics.utility_of_rates(commodities)
             gap = scenario.config.params.B_tilde / V
-            passed = measured >= oracle.value - gap - slack * oracle.value
+            passed = measured >= oracle.value - gap - _SWEEP_SLACK * oracle.value
             rows.append(
                 SweepRow(
                     V=V,

@@ -62,10 +62,11 @@ class StateInvariantError(RuntimeError):
 class LinkParams:
     """Per-edge constants: key generation rate ``K`` per on-slot, the key
 
-    spend ceiling ``P_max``, the key-to-data efficiency ``delta`` (one key
-    bit moves at most ``delta`` data bits), and the transmission rate
-    ``mu_of_P`` as a function of keys spent. ``mu_of_P=None`` means one-time
-    pad: rate equals keys spent, ``delta`` is 1.
+    spend ceiling ``P_max``, the key-to-data efficiency ``delta``, and the
+    transmission rate ``mu_of_P`` as a function of keys spent, which may
+    not exceed ``delta * P`` at ``P_max``. ``mu_of_P=None`` means one-time
+    pad: rate equals keys spent whatever ``delta`` is, so there ``delta``
+    only raises the key-store target ``theta``.
     """
 
     K: Num
@@ -90,6 +91,11 @@ class LinkParams:
         return P if self.mu_of_P is None else self.mu_of_P(P)
 
 
+def _require_positive_finite(x: Num, name: str) -> None:
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"{name} must be positive and finite, got {x!r}")
+
+
 @dataclass(frozen=True)
 class Utility:
     """Concave admission utility. ``linear``: w*r. ``log1p``: w*ln(1+r)."""
@@ -100,8 +106,7 @@ class Utility:
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "log1p"):
             raise ValueError(f"unknown utility kind {self.kind!r}")
-        if not (math.isfinite(self.w) and self.w > 0):
-            raise ValueError("utility weight must be positive and finite")
+        _require_positive_finite(self.w, "utility weight")
 
     def value(self, r: Num) -> Num:
         if self.kind == "linear":
@@ -112,6 +117,30 @@ class Utility:
         if self.kind == "linear":
             return self.w
         return self.w / (1 + r)
+
+
+def _check_problem(
+    network: Network, commodities: Mapping[tuple[str, str], Utility], R_max: Num
+) -> dict[str, LinkParams]:
+    """The link parameters by edge id, after checking what the controller and
+
+    the static oracle both assume: at least one commodity, each between two
+    distinct nodes; link parameters on every edge; a positive finite R_max.
+    """
+    if not commodities:
+        raise ValueError("at least one commodity is required")
+    for src, dst in commodities:
+        network.require_node(src)
+        network.require_node(dst)
+        if src == dst:
+            raise ValueError(f"commodity {src!r}->{dst!r} has equal endpoints")
+    links = {}
+    for e in network.edges:
+        if e.link_params is None:
+            raise ValueError(f"edge {e.id!r} has no link parameters")
+        links[e.id] = e.link_params
+    _require_positive_finite(R_max, "R_max")
+    return links
 
 
 @dataclass(frozen=True)
@@ -147,15 +176,8 @@ class ControlParams:
         V: Num,
         R_max: Num,
     ) -> "ControlParams":
-        if not commodities:
-            raise ValueError("at least one commodity is required")
-        if V <= 0 or R_max <= 0:
-            raise ValueError("V and R_max must be positive")
-        links = {}
-        for e in network.edges:
-            if e.link_params is None:
-                raise ValueError(f"edge {e.id!r} has no link parameters")
-            links[e.id] = e.link_params
+        links = _check_problem(network, commodities, R_max)
+        _require_positive_finite(V, "V")
         beta = max(u.marginal(0) for u in commodities.values())
         mu_max = max(lp.rate(lp.P_max) for lp in links.values())
         d_max = max(network.degree(v) for v in network.nodes)
@@ -209,11 +231,6 @@ class ScheduleConfig:
     def __post_init__(self) -> None:
         if self.tie_mode not in ("random", "lexicographic"):
             raise ValueError(f"unknown tie mode {self.tie_mode!r}")
-        for src, dst in self.commodities:
-            self.network.require_node(src)
-            self.network.require_node(dst)
-            if src == dst:
-                raise ValueError(f"commodity {src!r}->{dst!r} has equal endpoints")
 
     @classmethod
     def build(

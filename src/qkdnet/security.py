@@ -14,12 +14,12 @@ the XOR of the keys incident to Alice.
 ``security_oracle`` is the package's one secrecy verdict and an independent
 referee for the cut-based assessment: the paper's ``sec`` of attack ``A``
 and scheme ``S`` is ``security_oracle(g, S, A) == "perfectly_secret"``.
-Every view symbol and every secret of both schemes is an XOR of uniform key
-and coin bits, so the secret is perfectly secret iff its mask lies outside
-the GF(2) span of the view masks (N. Cai and R. W. Yeung, "Secure Network
-Coding", ISIT 2002). The test is Gaussian elimination on bitmasks and has no
-size limit. An exhaustive enumeration in the test suite referees it on small
-instances.
+It builds the eavesdropper's view with the exchanges' own code, fed one-hot
+masks over the uniform key and coin bits instead of values, and the secret
+is perfectly secret iff its mask lies outside the GF(2) span of the view
+(N. Cai and R. W. Yeung, "Secure Network Coding", ISIT 2002). The test is
+Gaussian elimination on bitmasks and has no size limit. An exhaustive
+enumeration in the test suite referees it on small instances.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from random import Random
 from typing import Iterable
 
 from .graph_core import (
+    Edge,
     Network,
     Path,
     disconnects,
@@ -118,12 +119,12 @@ class Scheme:
     def bob(self) -> str:
         return self.paths[0].nodes[-1]
 
-    def validate(self, g: Network) -> None:
+    def validate(self, g: Network) -> tuple[tuple[Edge, ...], ...]:
+        """Check the scheme against ``g`` and return each path's hop edges."""
         alice, bob = g.require_endpoints()
         if self.alice != alice or self.bob != bob:
             raise ValueError("scheme endpoints do not match the network's alice/bob")
-        for p in self.paths:
-            p.edges_in(g)  # raises on a hop with no edge
+        return tuple(p.edges_in(g) for p in self.paths)  # raises on a hop with no edge
 
 
 @dataclass(frozen=True)
@@ -183,11 +184,7 @@ class ExchangeTranscript:
 
         Keys of edges between two uncompromised nodes never appear here.
         """
-        a = _as_attack(self.network, attack)
-        view = dict(self.announcements)
-        for eid in sorted(insecure_edges(self.network, a)):
-            view[f"key:{eid}"] = self.keys[eid]
-        return view
+        return _eve_view(self.network, self.announcements, self.keys, attack)
 
     def to_text(self) -> str:
         width = max(1, (self.n_bits + 3) // 4)
@@ -203,6 +200,19 @@ def insecure_edges(g: Network, attack: "AttackSet | Iterable[str]") -> frozenset
     """Ids of edges whose key the eavesdropper learns outright."""
     a = _as_attack(g, attack)
     return frozenset(e.id for e in g.edges if e.u in a.nodes or e.v in a.nodes)
+
+
+def _eve_view(
+    g: Network,
+    announcements: dict[str, int],
+    keys: KeyAssignment | dict[str, int],
+    attack: "AttackSet | Iterable[str]",
+) -> dict[str, int]:
+    """Every announcement, plus ``key:<edge>`` for each edge touching the attack."""
+    view = dict(announcements)
+    for eid in sorted(insecure_edges(g, attack)):
+        view[f"key:{eid}"] = keys[eid]
+    return view
 
 
 def is_strongest(g: Network, attack: "AttackSet | Iterable[str]") -> bool:
@@ -242,6 +252,37 @@ def min_strongest_attack(g: Network) -> AttackSet:
     return AttackSet(min_vertex_cut(g, alice, bob))
 
 
+def _multipath_announcements(
+    hops: tuple[tuple[Edge, ...], ...],
+    message: int,
+    coins: list[int],
+    keys: KeyAssignment | dict[str, int],
+) -> dict[str, int]:
+    """``p<i>:<edge>``: path ``i``'s share XOR the key of each of its hops.
+
+    The shares are ``message ^ xor(coins)`` for path 0, then the coins.
+    """
+    shares = [message ^ _xor_all(coins), *coins]
+    return {
+        f"p{i}:{edge.id}": share ^ keys[edge.id]
+        for i, (share, path) in enumerate(zip(shares, hops))
+        for edge in path
+    }
+
+
+def _m0_announcements(
+    g: Network, keys: KeyAssignment | dict[str, int]
+) -> tuple[dict[str, int], int]:
+    """Each relay's XOR of its incident edge keys, and alice's key: the XOR of hers."""
+    alice, bob = g.require_endpoints()
+    announcements = {
+        v: _xor_all(keys[e.id] for e in g.incident[v])
+        for v in g.nodes
+        if v not in (alice, bob)
+    }
+    return announcements, _xor_all(keys[e.id] for e in g.incident[alice])
+
+
 def multipath_exchange(
     g: Network,
     scheme: Scheme,
@@ -256,24 +297,15 @@ def multipath_exchange(
     share under that edge's key, and every hop ciphertext is announced. Bob
     decrypts the final hop of each path and XORs the shares back together.
     """
-    scheme.validate(g)
+    hops = scheme.validate(g)
     keys.validate(g)
     if not 0 <= message < (1 << keys.n_bits):
         raise ValueError(f"message out of range for {keys.n_bits} bits")
-    shares = [0] * len(scheme.paths)
-    for i in range(1, len(scheme.paths)):
-        shares[i] = rng.getrandbits(keys.n_bits)
-    shares[0] = message ^ _xor_all(shares[1:])
-
-    announcements: dict[str, int] = {}
-    received = []
-    for i, path in enumerate(scheme.paths):
-        hops = path.edges_in(g)
-        for edge in hops:
-            announcements[f"p{i}:{edge.id}"] = shares[i] ^ keys[edge.id]
-        received.append(announcements[f"p{i}:{hops[-1].id}"] ^ keys[hops[-1].id])
-
-    recovered = _xor_all(received)
+    coins = [rng.getrandbits(keys.n_bits) for _ in hops[1:]]
+    announcements = _multipath_announcements(hops, message, coins, keys)
+    recovered = _xor_all(
+        announcements[f"p{i}:{path[-1].id}"] ^ keys[path[-1].id] for i, path in enumerate(hops)
+    )
     if recovered != message:  # pure XOR algebra; cannot fail
         raise AssertionError("share reassembly mismatch")
     return ExchangeTranscript(
@@ -299,12 +331,7 @@ def m0_exchange(g: Network, keys: KeyAssignment) -> ExchangeTranscript:
     keys.validate(g)
     if disconnects(g, (), alice, bob):
         raise ValueError("alice and bob are in different components; exchange impossible")
-    announcements = {
-        v: _xor_all(keys[e.id] for e in g.incident[v])
-        for v in g.nodes
-        if v not in (alice, bob)
-    }
-    alice_key = _xor_all(keys[e.id] for e in g.incident[alice])
+    announcements, alice_key = _m0_announcements(g, keys)
     bob_key = _xor_all(announcements.values()) ^ _xor_all(
         keys[e.id] for e in g.incident[bob]
     )
@@ -348,40 +375,27 @@ def security_oracle(
 ) -> str:
     """Secrecy verdict by a GF(2) rank test; no size limit.
 
-    Every view symbol and the secret are XORs of uniform independent bits
-    (edge keys, and for a multi-path scheme the message and Alice's share
-    coins), written here as bitmasks over those bits. The secret is
-    independent of the view iff its mask lies outside the GF(2) span of the
-    view masks; otherwise the view determines it. Returns ``broken`` in
-    that case and ``perfectly_secret`` otherwise. Independent of the
-    cut-based assessment: nothing here looks at connectivity.
+    The scheme's announcements and the view are built with one-hot masks
+    over the uniform bits: edge keys, and for a multi-path scheme Alice's
+    share coins and the message. The view determines the secret iff the
+    secret's mask lies in the GF(2) span of the view's masks: ``broken``;
+    otherwise the secret is independent of it: ``perfectly_secret``. No
+    connectivity check: disconnected endpoints, where ``m0_exchange``
+    raises, come out ``broken``.
     """
-    a = _as_attack(g, attack)
-    index = {e.id: i for i, e in enumerate(g.edges)}
-    key_masks = [1 << index[eid] for eid in insecure_edges(g, a)]
-
+    keys = {e.id: 1 << i for i, e in enumerate(g.edges)}
     if isinstance(scheme, str):
         if scheme != "m0":
             raise ValueError(f"unknown scheme kind {scheme!r}")
-        alice, bob = g.require_endpoints()
-        announced = [
-            _xor_all(1 << index[e.id] for e in g.incident[v])
-            for v in g.nodes
-            if v not in (alice, bob)
-        ]
-        secret_mask = _xor_all(1 << index[e.id] for e in g.incident[alice])
+        announcements, secret = _m0_announcements(g, keys)
     else:
-        scheme.validate(g)
-        n_edges, n_paths = len(index), len(scheme.paths)
-        secret_mask = 1 << (n_edges + n_paths - 1)  # the message bit
-        coins = [1 << (n_edges + i) for i in range(n_paths - 1)]
-        share_masks = [secret_mask ^ _xor_all(coins), *coins]
-        announced = [
-            share_masks[i] ^ (1 << index[edge.id])
-            for i, path in enumerate(scheme.paths)
-            for edge in path.edges_in(g)
-        ]
-    return BROKEN if _in_span(announced + key_masks, secret_mask) else PERFECTLY_SECRET
+        hops = scheme.validate(g)
+        m, k = len(keys), len(hops)
+        secret = 1 << (m + k - 1)  # the message bit, after the k - 1 coins
+        coins = [1 << (m + i) for i in range(k - 1)]
+        announcements = _multipath_announcements(hops, secret, coins, keys)
+    view = _eve_view(g, announcements, keys, attack)
+    return BROKEN if _in_span(view.values(), secret) else PERFECTLY_SECRET
 
 
 # Canonical demo topology: seven nodes, nine links, two internally disjoint

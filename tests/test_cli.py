@@ -366,8 +366,10 @@ def test_non_list_config_attack_is_rejected(tmp_path, capsys, value):
         ("edges.0.params.K", math.inf, "simulate", "K, P_max and delta must be finite"),
         ("edges.0.params.P_max", math.inf, "simulate", "K, P_max and delta must be finite"),
         ("edges.0.params.delta", math.nan, "simulate", "K, P_max and delta must be finite"),
+        ("edges.0.params.K", True, "simulate", "params.K must be a finite number"),
         ("schedule.commodities.0.w", math.nan, "simulate", "weight must be positive and finite"),
         ("schedule.commodities.0.w", math.inf, "oracle", "weight must be positive and finite"),
+        ("schedule.commodities.0.w", True, "oracle", "w must be a finite number"),
     ],
 )
 def test_malformed_config_shape_exits_1(tmp_path, capsys, dotted, value, command, message):

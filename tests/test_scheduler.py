@@ -108,6 +108,14 @@ def test_derive_rejects_bad_inputs():
         ControlParams.derive(net, {("a", "b"): Utility("linear", 1)}, 0, 4)
 
 
+@pytest.mark.parametrize("key", ["V", "R_max"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0, -1])
+def test_build_rejects_a_non_positive_or_non_finite_constant(key, value):
+    constants = {"V": 10, "R_max": 4, key: value}
+    with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+        ScheduleConfig.build(two_node_network(), {("a", "b"): Utility("linear", 1)}, **constants)
+
+
 def test_config_rejects_unknown_commodity_nodes():
     with pytest.raises(Exception):
         ScheduleConfig.build(two_node_network(), {("a", "zz"): Utility("linear", 1)}, 10, 4)

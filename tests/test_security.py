@@ -8,6 +8,7 @@ also agree with the rank test verdict for verdict, and must still refuse
 what it cannot enumerate.
 """
 
+import hashlib
 import itertools
 import math
 import time
@@ -230,6 +231,9 @@ def test_m0_requires_connected_endpoints():
     keys = KeyAssignment(1, {"e1": 0, "e2": 1})
     with pytest.raises(ValueError):
         m0_exchange(g, keys)
+    # the oracle runs no connectivity check: the relays alice reaches
+    # announce her key between them
+    assert security_oracle(g, "m0", []) == BROKEN
 
 
 def test_multipath_roundtrip(demo, demo_scheme):
@@ -283,6 +287,59 @@ def test_eve_view_never_contains_clean_keys(demo, demo_scheme):
             assert leaked == expected
             # every announcement is public
             assert set(tr.announcements) <= set(view)
+
+
+def _exchange_cases(name):
+    """(network, rng) pairs: demo7, or 20 seeded random connected graphs."""
+    if name == "demo7":
+        yield demo7_network(), Random(0)
+        return
+    for seed in range(20):
+        rng = Random(seed)
+        if seed % 2:
+            g = random_relay_graph(rng, rng.randint(10, 30))
+        else:
+            n = rng.randint(3, 9)
+            g = network_from_mask(n, random_connected_mask(n, rng))
+        yield g, rng
+
+
+def _transcript_digest(name, kind):
+    """sha256 of each seeded exchange's text and of its view under a random attack."""
+    h = hashlib.sha256()
+    for g, rng in _exchange_cases(name):
+        keys = KeyAssignment.random(g, 32, rng)
+        if kind == "m0":
+            tr = m0_exchange(g, keys)
+        else:
+            scheme = Scheme(max_disjoint_paths(g, g.alice, g.bob))
+            tr = multipath_exchange(g, scheme, rng.getrandbits(32), keys, rng)
+        relays = [v for v in g.nodes if v not in (g.alice, g.bob)]
+        attack = rng.sample(relays, rng.randint(0, len(relays)))
+        h.update(tr.to_text().encode())
+        h.update(repr(sorted(tr.eve_view(attack).items())).encode())
+    return h.hexdigest()
+
+
+# digests recorded before the exchanges and the oracle came to share one
+# announcement function per scheme; any change to a transcript shows here
+PINNED_TRANSCRIPTS = [
+    ("demo7", "m0",
+     "21d2d0ab8eafe99880b3afcbc12cda71f5e16fc073594e7f94cd012c9ef78257"),
+    ("demo7", "multipath",
+     "abb515c1b26add2f1966da0cba7015d2647772cf361fd7ebab9dcb0c5bbaafea"),
+    ("random", "m0",
+     "72d9d07b8fd515daf1889c71040c1d2495ced4ab18022d6996be2e8819db9021"),
+    ("random", "multipath",
+     "1bcb381130cc3b02bfa1874dddd03036e932b8b4469201ee3a34ebe68aeb013f"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,kind,digest", PINNED_TRANSCRIPTS, ids=[f"{c[0]}-{c[1]}" for c in PINNED_TRANSCRIPTS]
+)
+def test_seeded_transcripts_are_pinned(name, kind, digest):
+    assert _transcript_digest(name, kind) == digest
 
 
 def test_transcript_text_is_yaml(demo):
