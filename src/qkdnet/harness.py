@@ -90,16 +90,6 @@ class Metrics:
     backlog: np.ndarray
 
     @staticmethod
-    def empty(cfg: ScheduleConfig, T: int) -> "Metrics":
-        return Metrics(
-            pairs=cfg.pairs,
-            dests=cfg.dests,
-            admitted={p: np.zeros(T) for p in cfg.pairs},
-            delivered={d: np.zeros(T) for d in cfg.dests},
-            backlog=np.zeros(T),
-        )
-
-    @staticmethod
     def _tail(x: np.ndarray, frac: float) -> np.ndarray:
         if len(x) == 0:
             return x
@@ -150,15 +140,16 @@ def run(
     cfg = scenario.config
     rng = Random(scenario.seed)
     state = initial_state(cfg)
-    T = scenario.T
-    m = Metrics.empty(cfg, T)
+    pairs, dests = cfg.pairs, cfg.dests
+    no_pairs, no_dests = (0,) * len(pairs), (0,) * len(dests)
+    backlog, admitted, delivered = [], [], []
     drift_ok = True
     availability_ok = True
     bounds_checked = True
     injected = 0
 
-    for t in range(T):
-        m.backlog[t] = sum(state.Q.values())
+    for t in range(scenario.T):
+        backlog.append(sum(state.Q.values()))
         decision = inject(state, cfg, rng, t) if inject is not None else None
         if decision is not None:
             injected += 1
@@ -168,22 +159,33 @@ def run(
         drift_ok = drift_ok and da.ok
         availability_ok = availability_ok and audit.availability_ok
         bounds_checked = bounds_checked and audit.bounds_checked
-        for pair, r in decision.R.items():
-            m.admitted[pair][t] = r
-        for dest, amount in audit.delivered.items():
-            m.delivered[dest][t] = amount
+        admitted.append(tuple(map(decision.R.get, pairs, no_pairs)))
+        delivered.append(tuple(map(audit.delivered.get, dests, no_dests)))
         if observer is not None:
             observer(t, prev, decision, audit)
 
+    metrics = Metrics(
+        pairs=pairs,
+        dests=dests,
+        admitted=_columns(admitted, pairs),
+        delivered=_columns(delivered, dests),
+        backlog=np.array(backlog, dtype=float),
+    )
     return RunResult(
         scenario=scenario,
         final_state=state,
-        metrics=m,
+        metrics=metrics,
         drift_ok=drift_ok,
         availability_ok=availability_ok,
         bounds_checked=bounds_checked,
         injected_slots=injected,
     )
+
+
+def _columns(rows: list[tuple], keys: tuple) -> dict:
+    """One float array per key from per-slot rows that follow ``keys``."""
+    table = np.array(rows, dtype=float).reshape(len(rows), len(keys))
+    return {key: np.array(column) for key, column in zip(keys, table.T)}
 
 
 @dataclass(frozen=True)
@@ -317,13 +319,16 @@ def v_sweep(
 
     A row passes when the utility of the tail-averaged admitted rates is at
     least the oracle value minus the guaranteed B_tilde/V gap, less a
-    finite-horizon slack of ``_SWEEP_SLACK`` times the oracle value.
+    finite-horizon slack of ``_SWEEP_SLACK`` times the oracle value. Every
+    V is checked before the oracle solves or any run starts.
     """
+    configs = [ScheduleConfig.build(network, commodities, V, R_max, tie_mode) for V in V_values]
     oracle = oracle_optimal(network, commodities, R_max)
     rows = []
-    for V in V_values:
+    for config in configs:
+        V = config.params.V
         for seed in seeds:
-            scenario = Scenario.build(network, commodities, V, R_max, T, seed, tie_mode)
+            scenario = Scenario(config, T, seed)
             result = run(scenario)
             if not (result.drift_ok and result.availability_ok):
                 raise RuntimeError(f"audit failed during sweep at V={V} seed={seed}")

@@ -26,10 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import repeat
+from operator import add, mul, sub
 from random import Random
 from typing import Callable, Mapping
 
-from .graph_core import Edge, Network
+from .graph_core import Network
 
 __all__ = [
     "ControlParams",
@@ -46,8 +48,6 @@ __all__ = [
     "drift_audit",
     "initial_state",
     "key_consumption",
-    "key_gen_decision",
-    "schedule_commodity",
     "step",
 ]
 
@@ -152,7 +152,8 @@ class ControlParams:
     ``B_tilde`` the drift and utility-gap constants. ``B2`` is ``2*B``, the
     form the drift audit compares in, and an integer in exact mode.
     ``exact`` marks runs whose quantities are all integers, enabling exact
-    audits.
+    audits. ``dests`` are the commodity destinations in label order; a
+    node's queue for itself as destination must stay empty.
     """
 
     V: Num
@@ -167,6 +168,7 @@ class ControlParams:
     B: float
     B_tilde: float
     exact: bool
+    dests: tuple[str, ...]
 
     @classmethod
     def derive(
@@ -209,6 +211,7 @@ class ControlParams:
             B=B,
             B_tilde=B_tilde,
             exact=exact,
+            dests=tuple(sorted({dst for _, dst in commodities})),
         )
 
     @property
@@ -244,17 +247,17 @@ class ScheduleConfig:
         params = ControlParams.derive(network, commodities, V, R_max)
         return cls(network, dict(commodities), params, tie_mode)
 
-    @cached_property
+    @property
     def dests(self) -> tuple[str, ...]:
-        return tuple(sorted({dst for _, dst in self.commodities}))
+        return self.params.dests
 
     @cached_property
     def pairs(self) -> tuple[tuple[str, str], ...]:
         return tuple(sorted(self.commodities))
 
     @cached_property
-    def links(self) -> dict[str, LinkParams]:
-        return {e.id: e.link_params for e in self.network.edges}
+    def plan(self) -> "_Plan":
+        return _Plan.compile(self)
 
 
 @dataclass
@@ -305,9 +308,67 @@ class SlotAudit:
     bounds_checked: bool
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """A config compiled once for the slot loop.
+
+    ``queues`` are the queue keys in the initial state's order. Every state
+    of a run keys its queues by these very tuples, and the plan looks them
+    up by the same objects. ``eids``, ``K`` and ``theta`` run in network
+    edge order. ``edges`` holds, per edge in that order: its id, ``P_max``,
+    ``theta``, its link parameters when it has a rate function (None for a
+    one-time-pad link), and one lane per destination in ``dests`` order. A
+    lane holds the lower and the higher label's queue key for that
+    destination and the two flows over the edge at ``P_max``, the rate a
+    one-time-pad link always serves at: lower to higher label, then back.
+    ``utilities`` holds (pair, utility, ``V * w`` for a linear utility else
+    None) in ``pairs`` order.
+    """
+
+    queues: tuple[tuple[str, str], ...]
+    eids: tuple[str, ...]
+    K: tuple[Num, ...]
+    theta: tuple[Num, ...]
+    edges: tuple[tuple[str, Num, Num, LinkParams | None, tuple], ...]
+    utilities: tuple[tuple[tuple[str, str], Utility, Num | None], ...]
+
+    @classmethod
+    def compile(cls, cfg: ScheduleConfig) -> "_Plan":
+        V, theta = cfg.params.V, cfg.params.theta
+        key = {(v, dest): (v, dest) for v in cfg.network.nodes for dest in cfg.dests}
+        links = cfg.network.edges
+        edges = []
+        for e in links:
+            lp = e.link_params
+            lo, hi = (e.u, e.v) if e.u < e.v else (e.v, e.u)
+            lanes = tuple(
+                (
+                    key[(lo, dest)],
+                    key[(hi, dest)],
+                    ServedFlow(lo, hi, dest, lp.P_max, lp.P_max),
+                    ServedFlow(hi, lo, dest, lp.P_max, lp.P_max),
+                )
+                for dest in cfg.dests
+            )
+            rated = None if lp.mu_of_P is None else lp
+            edges.append((e.id, lp.P_max, theta[e.id], rated, lanes))
+        utilities = tuple(
+            (key[pair], u, V * u.w if u.kind == "linear" else None)
+            for pair, u in ((p, cfg.commodities[p]) for p in cfg.pairs)
+        )
+        return cls(
+            queues=tuple(key),
+            eids=tuple(e.id for e in links),
+            K=tuple(e.link_params.K for e in links),
+            theta=tuple(theta[e.id] for e in links),
+            edges=tuple(edges),
+            utilities=utilities,
+        )
+
+
 def initial_state(cfg: ScheduleConfig) -> NetworkState:
-    Q = {(v, dest): 0 for v in cfg.network.nodes for dest in cfg.dests}
-    E = {e.id: 0 for e in cfg.network.edges}
+    Q = dict.fromkeys(cfg.plan.queues, 0)
+    E = dict.fromkeys(cfg.plan.eids, 0)
     return NetworkState(0, Q, E, certified=True)
 
 
@@ -315,10 +376,22 @@ def _bounds_violation(state: NetworkState, params: ControlParams) -> str | None:
     """The first queue or key store outside its certified range, described
 
     by entity, value and bound, or None when the state is inside them all.
-    Destination queues must be exactly zero.
+    Destination queues must be exactly zero. One pass of min, max and any
+    clears a state inside its ranges; only a state it cannot clear (a store
+    above the smallest store bound but maybe within its own, or a real
+    violation) is walked entity by entity.
     """
     tol = 0 if params.exact else 1e-9
     q_hi = params.queue_bound
+    Q, E = state.Q.values(), state.E.values()
+    if (
+        min(Q) >= -tol
+        and max(Q) <= q_hi + tol
+        and min(E) >= -tol
+        and max(E) <= min(params.theta.values()) + params.K_max + tol
+        and not any(map(state.Q.get, zip(params.dests, params.dests)))
+    ):
+        return None
     for (node, dest), q in state.Q.items():
         if node == dest:
             if q != 0:
@@ -330,11 +403,6 @@ def _bounds_violation(state: NetworkState, params: ControlParams) -> str | None:
         if e < -tol or e > e_hi + tol:
             return f"key store {eid} = {e} outside [0, {e_hi}] entering slot {state.t}"
     return None
-
-
-def key_gen_decision(E: Num, theta: Num) -> int:
-    """Generate keys this slot iff the store is strictly below target."""
-    return 1 if E < theta else 0
 
 
 def admit(Q: Num, V: Num, utility: Utility, R_max: Num) -> Num:
@@ -349,24 +417,6 @@ def admit(Q: Num, V: Num, utility: Utility, R_max: Num) -> Num:
         return R_max
     r = V * utility.w / Q - 1
     return min(max(r, 0), R_max)
-
-
-def _edge_weights(
-    edge: Edge, Q: Mapping[tuple[str, str], Num], dests: tuple[str, ...], gamma: Num
-) -> dict[tuple[str, str, str], Num]:
-    """Backlog differential per (sender, receiver, destination) on one edge,
-
-    less the margin gamma and floored at zero. Keys come in candidate order
-    for ``schedule_commodity``: the lower label sends first, destinations
-    follow ``dests``.
-    """
-    lo, hi = (edge.u, edge.v) if edge.u < edge.v else (edge.v, edge.u)
-    weights: dict[tuple[str, str, str], Num] = {}
-    for src, dst in ((lo, hi), (hi, lo)):
-        for dest in dests:
-            w = Q[(src, dest)] - Q[(dst, dest)] - gamma
-            weights[(src, dst, dest)] = w if w > 0 else 0
-    return weights
 
 
 def key_consumption(W: Num, E: Num, theta: Num, lp: LinkParams) -> Num:
@@ -388,51 +438,69 @@ def key_consumption(W: Num, E: Num, theta: Num, lp: LinkParams) -> Num:
     return best_p
 
 
-def schedule_commodity(
-    weights: Mapping[tuple[str, str, str], Num],
-    mu: Num,
-    rng: Random,
-    tie_mode: str = "random",
-) -> ServedFlow | None:
-    """Pick the (sender, receiver, destination) with the largest positive
-
-    weight and give it the whole rate. ``weights`` holds one edge's
-    candidates in order; ties go to a seeded random pick among them, or to
-    the first tied candidate in lexicographic mode.
-    """
-    if mu <= 0:
-        return None
-    best = 0
-    ties = []
-    for key, w in weights.items():
-        if w > best:
-            best, ties = w, [key]
-        elif w == best and w > 0:
-            ties.append(key)
-    if not ties:
-        return None
-    pick = ties[0] if tie_mode == "lexicographic" or len(ties) == 1 else ties[rng.randrange(len(ties))]
-    src, dst, dest = pick
-    return ServedFlow(src=src, dst=dst, dest=dest, nominal=mu, actual=mu)
-
-
 def _controller_decision(state: NetworkState, cfg: ScheduleConfig, rng: Random) -> StepDecision:
+    """One pass over the plan's edges, then its commodities.
+
+    Per edge: generate keys iff the store is strictly below ``theta``. Weigh
+    each (sender, receiver, destination) candidate by its backlog
+    differential less ``gamma``; the candidates run lower label first, then
+    destinations in order. Spend keys by ``key_consumption`` at the largest
+    weight W, floored at zero (on a one-time-pad link: ``P_max`` iff
+    W + E - theta > 0), and serve the largest positive weight at the whole
+    rate, if that rate is positive. A tie goes to the first candidate in
+    lexicographic mode and to ``rng.randrange`` over the tied ones in
+    random mode. Per commodity: admit by ``admit``, inlined for a linear
+    utility.
+    """
     params = cfg.params
     Q, E = state.Q, state.E
-    S = {eid: key_gen_decision(E[eid], th) for eid, th in params.theta.items()}
-    R = {
-        pair: admit(Q[pair], params.V, cfg.commodities[pair], params.R_max)
-        for pair in cfg.pairs
-    }
+    gamma = params.gamma
+    random_ties = cfg.tie_mode == "random"
+    S: dict[str, int] = {}
     P: dict[str, Num] = {}
     served: dict[str, ServedFlow] = {}
-    for e in cfg.network.edges:
-        lp = cfg.links[e.id]
-        weights = _edge_weights(e, Q, cfg.dests, params.gamma)
-        P[e.id] = key_consumption(max(weights.values()), E[e.id], params.theta[e.id], lp)
-        flow = schedule_commodity(weights, lp.rate(P[e.id]), rng, cfg.tie_mode)
-        if flow is not None:
-            served[e.id] = flow
+    for eid, P_max, theta, rated, lanes in cfg.plan.edges:
+        e = E[eid]
+        S[eid] = 1 if e < theta else 0
+        # gamma > 0, so at most one direction of a lane weighs positive;
+        # each direction keeps its first largest weight and its ties
+        up = down = 0
+        up_ties = down_ties = None
+        for lo_key, hi_key, up_flow, down_flow in lanes:
+            d = Q[lo_key] - Q[hi_key]
+            w = d - gamma
+            if w > 0:
+                if w > up:
+                    up, up_ties = w, [up_flow]
+                elif w == up:
+                    up_ties.append(up_flow)
+            else:
+                w = -d - gamma
+                if w > down:
+                    down, down_ties = w, [down_flow]
+                elif w == down and w > 0:
+                    down_ties.append(down_flow)
+        if down > up:
+            best, ties = down, down_ties
+        elif down == up and down_ties:
+            best, ties = up, up_ties + down_ties
+        else:
+            best, ties = up, up_ties
+        if rated is None:
+            P[eid] = mu = P_max if best + e - theta > 0 else 0
+        else:
+            P[eid] = p = key_consumption(best, e, theta, rated)
+            mu = rated.mu_of_P(p)
+        if mu > 0 and ties:
+            flow = ties[rng.randrange(len(ties))] if random_ties and len(ties) > 1 else ties[0]
+            served[eid] = flow if rated is None else ServedFlow(flow.src, flow.dst, flow.dest, mu, mu)
+    R: dict[tuple[str, str], Num] = {}
+    V, R_max = params.V, params.R_max
+    for pair, u, Vw in cfg.plan.utilities:
+        if Vw is None:
+            R[pair] = admit(Q[pair], V, u, R_max)
+        else:
+            R[pair] = R_max if Q[pair] < Vw else 0
     return StepDecision(S=S, R=R, P=P, served=served)
 
 
@@ -458,23 +526,21 @@ def step(
     injected decisions still refuse to overdraw key stores. Either way the
     new state is scanned once and the result kept as its ``certified``.
     """
-    params = cfg.params
     check_bounds = decision is None and state.certified
     if decision is None:
         decision = _controller_decision(state, cfg, rng)
 
-    new_E: dict[str, Num] = {}
-    min_margin: Num = math.inf
-    for eid, lp in cfg.links.items():
-        margin = state.E[eid] - decision.P[eid]
-        if margin < min_margin:
-            min_margin = margin
-        if decision.injected and margin < 0:
-            raise ValueError(f"injected decision overdraws key store on edge {eid!r}")
-        new_E[eid] = margin + decision.S[eid] * lp.K
+    plan = cfg.plan
+    E, S, P = state.E, decision.S, decision.P
+    margins = list(map(sub, map(E.__getitem__, plan.eids), map(P.__getitem__, plan.eids)))
+    min_margin = min(margins)
+    if decision.injected and min_margin < 0:
+        eid = next(eid for eid, margin in zip(plan.eids, margins) if margin < 0)
+        raise ValueError(f"injected decision overdraws key store on edge {eid!r}")
+    new_E = dict(zip(plan.eids, map(add, margins, map(mul, map(S.__getitem__, plan.eids), plan.K))))
 
     new_Q = dict(state.Q)
-    delivered: dict[str, Num] = {dest: 0 for dest in cfg.dests}
+    delivered: dict[str, Num] = dict.fromkeys(cfg.dests, 0)
     served = decision.served
     # sequential allocation in edge-id order: senders can never go negative
     for eid in sorted(served):
@@ -496,7 +562,7 @@ def step(
         decision = replace(decision, served=served)
 
     new_state = NetworkState(state.t + 1, new_Q, new_E, certified=False)
-    violation = _bounds_violation(new_state, params)
+    violation = _bounds_violation(new_state, cfg.params)
     if violation is not None and check_bounds:
         raise StateInvariantError(violation)
     new_state.certified = violation is None
@@ -536,8 +602,6 @@ def drift_audit(
     """
     params = cfg.params
     Q, E = state.Q, state.E
-    theta = params.theta
-    links = cfg.links
 
     nominal_Q = next_state.Q
     for eid, flow in decision.served.items():
@@ -555,24 +619,29 @@ def drift_audit(
         if flow.dst != flow.dest:
             nominal_Q[(flow.dst, flow.dest)] += shortfall
 
-    reward = sum(
-        cfg.commodities[pair].value(decision.R[pair]) for pair in decision.R
-    )
+    # summed in a fixed order (queues, then edges, then commodities, then
+    # flows), which keeps float runs equal to a replay bit for bit
+    plan = cfg.plan
+    gap = list(map(sub, map(E.__getitem__, plan.eids), plan.theta))
+    next_gap = map(sub, map(next_state.E.__getitem__, plan.eids), plan.theta)
+    values = [(pair, r, cfg.commodities[pair].value(r)) for pair, r in decision.R.items()]
+    nQ, Qv = nominal_Q.values(), Q.values()
     lhs2 = (
-        sum(v * v for v in nominal_Q.values())
-        - sum(v * v for v in Q.values())
-        + sum((next_state.E[eid] - theta[eid]) ** 2 for eid in E)
-        - sum((E[eid] - theta[eid]) ** 2 for eid in E)
-        - 2 * params.V * reward
+        sum(map(mul, nQ, nQ))
+        - sum(map(mul, Qv, Qv))
+        + sum(map(pow, next_gap, repeat(2)))
+        - sum(map(pow, gap, repeat(2)))
+        - 2 * params.V * sum([u for _, _, u in values])
     )
 
     rhs2 = params.B2
-    for eid in E:
-        rhs2 += 2 * (E[eid] - theta[eid]) * decision.S[eid] * links[eid].K
-        rhs2 -= 2 * (E[eid] - theta[eid]) * decision.P[eid]
-    for pair, r in decision.R.items():
-        rhs2 -= 2 * (params.V * cfg.commodities[pair].value(r) - Q[pair] * r)
-    for eid, flow in decision.served.items():
+    S, P = decision.S, decision.P
+    for eid, K, g in zip(plan.eids, plan.K, gap):
+        rhs2 += 2 * g * S[eid] * K
+        rhs2 -= 2 * g * P[eid]
+    for pair, r, u in values:
+        rhs2 -= 2 * (params.V * u - Q[pair] * r)
+    for flow in decision.served.values():
         rhs2 -= 2 * flow.nominal * (Q[(flow.src, flow.dest)] - Q[(flow.dst, flow.dest)])
 
     tol = 0 if params.exact else 1e-9

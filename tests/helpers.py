@@ -6,6 +6,7 @@ package's algorithms against independent code paths, so nothing in this
 module may call the routines it is used to verify.
 """
 
+import csv
 import itertools
 import math
 from collections import deque
@@ -15,7 +16,15 @@ import numpy as np
 from scipy.optimize import linprog
 
 from qkdnet.graph_core import DirectLinkError, Edge, Network, Path
-from qkdnet.scheduler import DriftAudit, LinkParams, ServedFlow, StateInvariantError, StepDecision
+from qkdnet.scheduler import (
+    DriftAudit,
+    LinkParams,
+    ServedFlow,
+    StateInvariantError,
+    StepDecision,
+    admit,
+    key_consumption,
+)
 from qkdnet.security import BROKEN, PERFECTLY_SECRET, AttackSet, Scheme
 
 
@@ -466,6 +475,19 @@ def diamond_network(K: int = 3, P_max: int = 3) -> Network:
     return with_link_params(net, LinkParams(K=K, P_max=P_max))
 
 
+def grid_network(n: int, K: int = 4, P_max: int = 4) -> Network:
+    """An n-by-n grid with nodes ``g<row>_<col>``, alice at one corner and bob at the other."""
+    links = []
+    for r in range(n):
+        for c in range(n):
+            if c + 1 < n:
+                links.append((f"h{r}_{c}", f"g{r}_{c}", f"g{r}_{c + 1}"))
+            if r + 1 < n:
+                links.append((f"v{r}_{c}", f"g{r}_{c}", f"g{r + 1}_{c}"))
+    net = Network.from_links(links, alice="g0_0", bob=f"g{n - 1}_{n - 1}")
+    return with_link_params(net, LinkParams(K=K, P_max=P_max))
+
+
 def random_feasible_decision(state, cfg, rng: Random) -> StepDecision:
     """Uniformly random decision within the action bounds, for injection.
 
@@ -482,7 +504,7 @@ def random_feasible_decision(state, cfg, rng: Random) -> StepDecision:
     P = {}
     served = {}
     for e in cfg.network.edges:
-        lp = cfg.links[e.id]
+        lp = e.link_params
         cap = max(0, min(lp.P_max, state.E[e.id]))
         P[e.id] = rng.randint(0, int(cap)) if params.exact else rng.uniform(0, cap)
         mu = lp.rate(P[e.id])
@@ -492,6 +514,107 @@ def random_feasible_decision(state, cfg, rng: Random) -> StepDecision:
             if dest != src:
                 served[e.id] = ServedFlow(src=src, dst=dst, dest=dest, nominal=mu, actual=mu)
     return StepDecision(S=S, R=R, P=P, served=served, injected=True)
+
+
+# -- slot-decision and CSV referees -------------------------------------------
+
+def key_gen_decision(E, theta) -> int:
+    """Generate keys this slot iff the store is strictly below target."""
+    return 1 if E < theta else 0
+
+
+def edge_weights(edge: Edge, Q, dests, gamma) -> dict:
+    """Backlog differential per (sender, receiver, destination) on one edge,
+
+    less the margin gamma and floored at zero. Keys come in candidate order
+    for ``schedule_commodity``: the lower label sends first, destinations
+    follow ``dests``.
+    """
+    lo, hi = (edge.u, edge.v) if edge.u < edge.v else (edge.v, edge.u)
+    weights = {}
+    for src, dst in ((lo, hi), (hi, lo)):
+        for dest in dests:
+            w = Q[(src, dest)] - Q[(dst, dest)] - gamma
+            weights[(src, dst, dest)] = w if w > 0 else 0
+    return weights
+
+
+def schedule_commodity(weights, mu, rng: Random, tie_mode: str = "random") -> ServedFlow | None:
+    """Pick the (sender, receiver, destination) with the largest positive
+
+    weight and give it the whole rate. ``weights`` holds one edge's
+    candidates in order; ties go to a seeded random pick among them, or to
+    the first tied candidate in lexicographic mode.
+    """
+    if mu <= 0:
+        return None
+    best = 0
+    ties = []
+    for key, w in weights.items():
+        if w > best:
+            best, ties = w, [key]
+        elif w == best and w > 0:
+            ties.append(key)
+    if not ties:
+        return None
+    pick = ties[0] if tie_mode == "lexicographic" or len(ties) == 1 else ties[rng.randrange(len(ties))]
+    src, dst, dest = pick
+    return ServedFlow(src=src, dst=dst, dest=dest, nominal=mu, actual=mu)
+
+
+def reference_decision(state, cfg, rng: Random) -> StepDecision:
+    """The controller's decision, one closed form per quantity and one
+
+    weight dict per edge: the referee for the fused ``_controller_decision``.
+    """
+    params = cfg.params
+    Q, E = state.Q, state.E
+    S = {eid: key_gen_decision(E[eid], th) for eid, th in params.theta.items()}
+    R = {pair: admit(Q[pair], params.V, cfg.commodities[pair], params.R_max) for pair in cfg.pairs}
+    P = {}
+    served = {}
+    for e in cfg.network.edges:
+        lp = e.link_params
+        weights = edge_weights(e, Q, cfg.dests, params.gamma)
+        P[e.id] = key_consumption(max(weights.values()), E[e.id], params.theta[e.id], lp)
+        flow = schedule_commodity(weights, lp.rate(P[e.id]), rng, cfg.tie_mode)
+        if flow is not None:
+            served[e.id] = flow
+    return StepDecision(S=S, R=R, P=P, served=served)
+
+
+class ReferenceCsvObserver:
+    """The per-slot CSV written row by row, sorting and labelling every
+
+    slot: the referee for the CLI's ``_CsvObserver``.
+    """
+
+    HEADER = ["slot", "entity-id", "Q", "E", "S", "P", "R", "served-b", "served-rate", "actual"]
+
+    def __init__(self, fh) -> None:
+        self.writer = csv.writer(fh)
+        self.writer.writerow(self.HEADER)
+
+    def __call__(self, t, state, decision, audit) -> None:
+        for (node, dest), q in sorted(state.Q.items()):
+            r = decision.R.get((node, dest), "")
+            self.writer.writerow([t, f"q:{node}>{dest}", q, "", "", "", r, "", "", ""])
+        for eid in sorted(state.E):
+            flow = decision.served.get(eid)
+            self.writer.writerow(
+                [
+                    t,
+                    f"e:{eid}",
+                    "",
+                    state.E[eid],
+                    decision.S[eid],
+                    decision.P[eid],
+                    "",
+                    flow.dest if flow else "",
+                    flow.nominal if flow else "",
+                    flow.actual if flow else "",
+                ]
+            )
 
 
 # -- static-oracle referee ----------------------------------------------------
@@ -604,7 +727,7 @@ def replay_drift_audit(state, decision, next_state, cfg) -> DriftAudit:
     params = cfg.params
     Q, E = state.Q, state.E
     theta = params.theta
-    links = cfg.links
+    links = {e.id: e.link_params for e in cfg.network.edges}
 
     nominal_Q = dict(Q)
     for eid in sorted(decision.served):

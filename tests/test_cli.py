@@ -10,6 +10,11 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from qkdnet import cli
+from qkdnet.harness import Scenario, run
+from qkdnet.scheduler import LinkParams, Utility
+from qkdnet.security import demo7_network
+
+from helpers import ReferenceCsvObserver, with_link_params
 
 
 FIXTURE_YAML = """
@@ -182,6 +187,14 @@ def test_exchange_multipath_to_file(fixture_cfg, tmp_path, capsys):
     assert doc["alice_key"] == 0xBEEF and doc["bob_key"] == 0xBEEF
 
 
+def test_exchange_m0_refuses_a_message(fixture_cfg, capsys):
+    # the m0 key is the XOR of alice's edge keys: there is no message to send
+    assert cli.main(["exchange", fixture_cfg, "--scheme", "m0", "--message", "0x5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--message" in captured.err
+
+
 def test_exchange_multipath_needs_paths(tmp_path, capsys):
     p = tmp_path / "nopaths.yaml"
     p.write_text("alice: a\nbob: b\nedges:\n  - {id: e1, u: a, v: b}\n")
@@ -267,6 +280,54 @@ def test_sweep_pass(diamond_cfg, capsys):
     out = capsys.readouterr().out
     assert "oracle U*=6" in out
     assert out.strip().endswith("PASS")
+
+
+def test_sweep_checks_every_v_before_solving(diamond_cfg, capsys, monkeypatch):
+    from qkdnet import harness
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(harness, "oracle_optimal", counted("oracle", harness.oracle_optimal))
+    monkeypatch.setattr(harness, "run", counted("run", harness.run))
+    assert cli.main(["sweep", diamond_cfg, "--v-values", "20,100,500,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "V must be positive and finite, got 0" in captured.err
+    assert calls == []
+
+
+def _csv_bytes(observer_factory, scenario):
+    fh = io.StringIO(newline="")
+    run(scenario, observer=observer_factory(fh))
+    return fh.getvalue().encode()
+
+
+@pytest.mark.parametrize("kind", ["linear", "log1p"])
+def test_csv_writer_bytes_equal_the_reference_writer(kind):
+    """The pre-labelled writer against the row-by-row one, on the C05
+
+    fixture (integer) and on the same network with log1p utilities (float).
+    """
+    K = {"k1": 4, "k2": 3, "k3": 5, "k4": 2, "k5": 4, "k6": 3, "k7": 2, "k8": 5, "k9": 4}
+    net = with_link_params(demo7_network(), {eid: LinkParams(K=k, P_max=5) for eid, k in K.items()})
+    commodities = {
+        ("a", "b"): Utility(kind, 1),
+        ("c3", "c2"): Utility(kind, 2),
+        ("c5", "a"): Utility(kind, 1),
+    }
+    scenario = Scenario.build(net, commodities, V=100, R_max=6, T=3000, seed=11)
+    got = _csv_bytes(lambda fh: cli._CsvObserver(fh, scenario.config), scenario)
+    want = _csv_bytes(ReferenceCsvObserver, scenario)
+    assert got == want
+    assert got.count(b"\r\n") == 1 + 3000 * (7 * 3 + 9)
+    assert (b"." in got) == (kind == "log1p")
 
 
 def test_dump_config_round_trips(fixture_cfg, capsys):

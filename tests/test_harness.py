@@ -1,6 +1,7 @@
 """Simulation runs, long-run metrics, and the static optimum oracle."""
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -135,7 +136,7 @@ def test_import_does_not_load_the_lp_solver():
     src = Path(__file__).resolve().parents[1] / "src"
     probe = "import sys, qkdnet; print('scipy.optimize' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", probe], env={"PYTHONPATH": str(src)},
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"

@@ -19,17 +19,20 @@ from qkdnet.scheduler import (
     drift_audit,
     initial_state,
     key_consumption,
-    key_gen_decision,
-    schedule_commodity,
     step,
 )
 from qkdnet import scheduler
-from qkdnet.scheduler import _bounds_violation, _edge_weights
+from qkdnet.scheduler import _bounds_violation, _controller_decision
 
 from helpers import (
     diamond_network,
+    edge_weights,
+    grid_network,
+    key_gen_decision,
     random_feasible_decision,
+    reference_decision,
     replay_drift_audit,
+    schedule_commodity,
     two_node_network,
     with_link_params,
 )
@@ -79,7 +82,7 @@ def test_drift_constant_components():
     p = cfg.params
     n, m = len(cfg.network.nodes), len(cfg.network.edges)
     assert (n, m) == (4, 4)
-    P_cap = max(lp.P_max for lp in cfg.links.values())
+    P_cap = max(e.link_params.P_max for e in cfg.network.edges)
     assert p.B == n * n * (1.5 * p.d_max**2 * p.mu_max**2 + p.R_max**2) + m / 2 * (
         P_cap + p.K_max
     ) ** 2
@@ -207,7 +210,7 @@ def test_edge_weights_example():
     assert cfg.params.gamma == 4
     st0 = initial_state(cfg)
     st0.Q[("a", "c")] = 10
-    weights = _edge_weights(net.edges[0], st0.Q, cfg.dests, cfg.params.gamma)
+    weights = edge_weights(net.edges[0], st0.Q, cfg.dests, cfg.params.gamma)
     # candidate order: the lower label sends first, whatever the edge's u/v
     assert list(weights) == [("a", "c", "c"), ("c", "a", "c")]
     assert weights[("a", "c", "c")] == 6  # 10 - 0 - 4
@@ -319,10 +322,11 @@ def test_injected_decisions_respect_feasibility():
     cfg = fixture_config()
     state = initial_state(cfg)
     rng = Random(33)
+    P_max = {e.id: e.link_params.P_max for e in cfg.network.edges}
     for _ in range(800):
         decision = random_feasible_decision(state, cfg, rng)
         for eid, p in decision.P.items():
-            assert 0 <= p <= min(cfg.links[eid].P_max, state.E[eid])
+            assert 0 <= p <= min(P_max[eid], state.E[eid])
         for r in decision.R.values():
             assert 0 <= r <= cfg.params.R_max
         state, decision, audit = step(state, cfg, rng, decision=decision)
@@ -549,3 +553,78 @@ PINNED_TRACES = [
 @pytest.mark.parametrize("name,make_cfg,seed,digest", PINNED_TRACES, ids=[c[0] for c in PINNED_TRACES])
 def test_seeded_trajectory_is_pinned(name, make_cfg, seed, digest):
     assert _trace_digest(make_cfg(), seed, 10_000) == digest
+
+
+# -- the fused decision against its referee --------------------------------------
+
+def _rated_diamond():
+    """Diamond whose links serve two data bits per key bit up to three keys."""
+    lp = LinkParams(K=3, P_max=5, delta=2, mu_of_P=lambda p: 2 * p - (p > 3) * (p - 3))
+    return with_link_params(diamond_network(), lp)
+
+
+def _grid_commodities(kind):
+    return {
+        ("g0_0", "g9_9"): Utility(kind, 1),
+        ("g9_0", "g0_9"): Utility(kind, 2),
+        ("g4_5", "g0_0"): Utility(kind, 1),
+    }
+
+
+DEMO7_COMMODITIES = {("a", "b"): 1, ("c3", "c2"): 2, ("c5", "a"): 1}
+DIAMOND_COMMODITIES = {("a", "b"): 1, ("m1", "a"): 1}
+
+DECISION_NETWORKS = {
+    "demo7": (lambda: fixture_config().network, lambda kind: {
+        pair: Utility(kind, w) for pair, w in DEMO7_COMMODITIES.items()}, 100, 6, 10_000),
+    "diamond": (diamond_network, lambda kind: {
+        pair: Utility(kind, w) for pair, w in DIAMOND_COMMODITIES.items()}, 60, 8, 10_000),
+    "rated-diamond": (_rated_diamond, lambda kind: {
+        pair: Utility(kind, w) for pair, w in DIAMOND_COMMODITIES.items()}, 60, 8, 2_500),
+    # the grid runs 10^4 slots across its four cases
+    "grid10": (lambda: grid_network(10), _grid_commodities, 80, 6, 2_500),
+}
+DECISION_CASES = [
+    (net, tie_mode, kind)
+    for net in DECISION_NETWORKS
+    for tie_mode in ("random", "lexicographic")
+    for kind in ("linear", "log1p")
+]
+
+
+@pytest.mark.parametrize(
+    "net,tie_mode,kind", DECISION_CASES, ids=["-".join(c) for c in DECISION_CASES]
+)
+def test_fused_decision_matches_reference(net, tie_mode, kind):
+    """The one-pass decision equals the per-edge weight-dict referee on every
+
+    controller slot: same S, R, P and served, same number types (compared
+    by repr), and the same random draws (the generator states agree).
+    Injection comes in bursts, so controller slots also run from states
+    pushed outside the certified bounds.
+    """
+    make_net, make_commodities, V, R_max, T = DECISION_NETWORKS[net]
+    cfg = ScheduleConfig.build(make_net(), make_commodities(kind), V, R_max, tie_mode=tie_mode)
+    rng = Random(sum(map(ord, net + tie_mode + kind)))
+    state = initial_state(cfg)
+    controller = draws = 0
+    for t in range(T):
+        if t % 10 in (3, 4, 5):
+            decision = random_feasible_decision(state, cfg, rng)
+        else:
+            before = rng.getstate()
+            referee_rng = Random()
+            referee_rng.setstate(before)
+            decision = _controller_decision(state, cfg, rng)
+            expected = reference_decision(state, cfg, referee_rng)
+            assert repr(decision) == repr(expected), t
+            assert rng.getstate() == referee_rng.getstate(), t
+            controller += 1
+            draws += rng.getstate() != before
+        state, _, _ = step(state, cfg, rng, decision=decision)
+    assert controller == 7 * T // 10
+    if tie_mode == "lexicographic":
+        assert draws == 0
+    elif kind == "linear" and net != "rated-diamond":
+        assert draws > 0  # integer backlogs tie, so the random pick is exercised
+
