@@ -17,8 +17,10 @@ simulation audit fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import io
 import math
 import sys
 from dataclasses import dataclass
@@ -298,36 +300,72 @@ def _cmd_exchange(cfg: _Config, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# rows the CSV writer gathers before one write to the file
+_CSV_CHUNK_ROWS = 4096
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer``'s default dialect writes it in a row: quoted
+
+    only if it holds a comma, a double quote or a line break.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow((text, ""))
+    return buf.getvalue()[:-1]
+
+
 class _CsvObserver:
-    """Streams one row per queue and per edge each slot.
+    """Gathers one row per queue and per edge each slot.
 
     Q and E are observed at slot start; R, S, P and the served columns are
     that slot's decision. served-b is the destination the edge served. Rows
-    follow the sorted queue keys and edge ids, labelled once, and each slot
-    goes out in one ``writerows``.
+    follow the sorted queue keys and edge ids. Labels are quoted once, each
+    row is one f-string, and rows go to the file in chunks of at least
+    ``_CSV_CHUNK_ROWS``, written inside the slot call that completes one.
+    ``flush`` writes the rest; the file's owner calls it before closing,
+    whether or not the run finished. The bytes are those ``csv.writer``
+    writes.
     """
 
     HEADER = ["slot", "entity-id", "Q", "E", "S", "P", "R", "served-b", "served-rate", "actual"]
 
     def __init__(self, fh, cfg) -> None:
-        self.writer = csv.writer(fh)
-        self.writer.writerow(self.HEADER)
+        self.fh = fh
+        fh.write(",".join(map(_csv_field, self.HEADER)) + "\r\n")
         state = initial_state(cfg)
-        self.queues = [(key, f"q:{key[0]}>{key[1]}") for key in sorted(state.Q)]
-        self.stores = [(eid, f"e:{eid}") for eid in sorted(state.E)]
+        # each label comes with the commas around it: the empty Q column
+        # after an edge label included
+        self.queues = [(key, f",{_csv_field(f'q:{key[0]}>{key[1]}')},") for key in sorted(state.Q)]
+        self.row_of = {key: i for i, (key, _) in enumerate(self.queues)}
+        self.stores = [(eid, f",{_csv_field(f'e:{eid}')},,") for eid in sorted(state.E)]
+        self.dests = {dest: _csv_field(dest) for dest in cfg.dests}
+        self.rows: list[str] = []
 
     def __call__(self, t: int, state: NetworkState, decision: StepDecision, audit: SlotAudit) -> None:
+        Q, E = state.Q, state.E
+        S, P, served, dests = decision.S, decision.P, decision.served, self.dests
         slot = str(t)
-        Q, E, R = state.Q, state.E, decision.R
-        S, P, served = decision.S, decision.P, decision.served
-        rows = [(slot, label, Q[key], "", "", "", R.get(key, ""), "", "", "") for key, label in self.queues]
+        rows = [f"{slot}{label}{Q[key]},,,,,,,\r\n" for key, label in self.queues]
+        # only the admitted queues carry R; an admission always names a queue
+        for key, r in decision.R.items():
+            i = self.row_of[key]
+            rows[i] = f"{slot}{self.queues[i][1]}{Q[key]},,,,{r},,,\r\n"
         for eid, label in self.stores:
             flow = served.get(eid)
             if flow is None:
-                rows.append((slot, label, "", E[eid], S[eid], P[eid], "", "", "", ""))
+                rows.append(f"{slot}{label}{E[eid]},{S[eid]},{P[eid]},,,,\r\n")
             else:
-                rows.append((slot, label, "", E[eid], S[eid], P[eid], "", flow.dest, flow.nominal, flow.actual))
-        self.writer.writerows(rows)
+                rows.append(
+                    f"{slot}{label}{E[eid]},{S[eid]},{P[eid]},,{dests[flow.dest]},{flow.nominal},{flow.actual}\r\n"
+                )
+        self.rows += rows
+        if len(self.rows) >= _CSV_CHUNK_ROWS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Write the rows gathered since the last chunk."""
+        self.fh.write("".join(self.rows))
+        self.rows.clear()
 
 
 def _cmd_simulate(cfg: _Config, args: argparse.Namespace) -> int:
@@ -338,16 +376,14 @@ def _cmd_simulate(cfg: _Config, args: argparse.Namespace) -> int:
     tie_mode = args.tie_mode or cfg.schedule.get("tie_mode") or "random"
     scenario = Scenario.build(cfg.network, commodities, V, R_max, T, cfg.seed, tie_mode)
 
-    observer = None
-    csv_fh = None
-    if args.csv:
-        csv_fh = open(args.csv, "w", newline="")
-        observer = _CsvObserver(csv_fh, scenario.config)
-    try:
-        result = run(scenario, observer=observer)
-    finally:
-        if csv_fh is not None:
-            csv_fh.close()
+    with open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext() as csv_fh:
+        observer = None if csv_fh is None else _CsvObserver(csv_fh, scenario.config)
+        try:
+            result = run(scenario, observer=observer)
+        finally:
+            # the last partial chunk, and every slot before a failure
+            if observer is not None:
+                observer.flush()
 
     params = scenario.config.params
     print(f"slots: {T}  seed: {scenario.seed}  V: {V}")

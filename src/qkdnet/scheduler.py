@@ -17,8 +17,9 @@ never outruns the store, and the per-slot drift inequality audited by
 ``drift_audit`` holds for any bounded decision, not just the controller's.
 
 Amounts default to integers (bits per slot) so every audit is an exact
-integer comparison; runs with a logarithmic utility use floats and a 1e-9
-tolerance instead.
+integer comparison; runs with a logarithmic utility or a rate function use
+floats, and their audits allow a rounding tolerance of ``_FLOAT_RTOL``
+relative to the bound each compares against.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import repeat
-from operator import add, mul, sub
+from operator import add, le, mul, sub
 from random import Random
 from typing import Callable, Mapping
 
@@ -52,6 +52,10 @@ __all__ = [
 ]
 
 Num = int | float
+
+# float audits allow this much rounding, relative to the bound compared
+# against: a slack or a bound of size b tolerates an overshoot of b * 1e-12
+_FLOAT_RTOL = 1e-12
 
 
 class StateInvariantError(RuntimeError):
@@ -221,6 +225,19 @@ class ControlParams:
     def store_bound(self, edge_id: str) -> Num:
         return self.theta[edge_id] + self.K_max
 
+    @cached_property
+    def _store_limits(self) -> tuple[tuple[str, ...], tuple[Num, ...], tuple[Num, ...]]:
+        """Edge ids in network order, and each store's lowest and highest
+
+        allowed value: ``[0, theta + K_max]`` widened in float mode by its
+        rounding tolerance.
+        """
+        eids = tuple(self.theta)
+        bounds = tuple(map(self.store_bound, eids))
+        if self.exact:
+            return eids, (0,) * len(eids), bounds
+        return eids, tuple(-_FLOAT_RTOL * b for b in bounds), tuple(b + _FLOAT_RTOL * b for b in bounds)
+
 
 @dataclass(frozen=True)
 class ScheduleConfig:
@@ -314,8 +331,8 @@ class _Plan:
 
     ``queues`` are the queue keys in the initial state's order. Every state
     of a run keys its queues by these very tuples, and the plan looks them
-    up by the same objects. ``eids``, ``K`` and ``theta`` run in network
-    edge order. ``edges`` holds, per edge in that order: its id, ``P_max``,
+    up by the same objects. ``eids`` and ``K`` run in network edge order.
+    ``edges`` holds, per edge in that order: its id, ``P_max``,
     ``theta``, its link parameters when it has a rate function (None for a
     one-time-pad link), and one lane per destination in ``dests`` order. A
     lane holds the lower and the higher label's queue key for that
@@ -328,7 +345,6 @@ class _Plan:
     queues: tuple[tuple[str, str], ...]
     eids: tuple[str, ...]
     K: tuple[Num, ...]
-    theta: tuple[Num, ...]
     edges: tuple[tuple[str, Num, Num, LinkParams | None, tuple], ...]
     utilities: tuple[tuple[tuple[str, str], Utility, Num | None], ...]
 
@@ -360,7 +376,6 @@ class _Plan:
             queues=tuple(key),
             eids=tuple(e.id for e in links),
             K=tuple(e.link_params.K for e in links),
-            theta=tuple(theta[e.id] for e in links),
             edges=tuple(edges),
             utilities=utilities,
         )
@@ -376,19 +391,21 @@ def _bounds_violation(state: NetworkState, params: ControlParams) -> str | None:
     """The first queue or key store outside its certified range, described
 
     by entity, value and bound, or None when the state is inside them all.
-    Destination queues must be exactly zero. One pass of min, max and any
-    clears a state inside its ranges; only a state it cannot clear (a store
-    above the smallest store bound but maybe within its own, or a real
-    violation) is walked entity by entity.
+    Destination queues must be exactly zero. One pass of min, max, any and
+    a per-store comparison in edge order clears a state inside its ranges;
+    only a real violation is walked entity by entity. Float mode allows
+    each bound ``_FLOAT_RTOL`` of itself for rounding.
     """
-    tol = 0 if params.exact else 1e-9
     q_hi = params.queue_bound
-    Q, E = state.Q.values(), state.E.values()
+    q_tol = 0 if params.exact else _FLOAT_RTOL * q_hi
+    eids, e_lo, e_hi = params._store_limits
+    E = list(map(state.E.__getitem__, eids))
+    Q = state.Q.values()
     if (
-        min(Q) >= -tol
-        and max(Q) <= q_hi + tol
-        and min(E) >= -tol
-        and max(E) <= min(params.theta.values()) + params.K_max + tol
+        min(Q) >= -q_tol
+        and max(Q) <= q_hi + q_tol
+        and all(map(le, e_lo, E))
+        and all(map(le, E, e_hi))
         and not any(map(state.Q.get, zip(params.dests, params.dests)))
     ):
         return None
@@ -396,12 +413,11 @@ def _bounds_violation(state: NetworkState, params: ControlParams) -> str | None:
         if node == dest:
             if q != 0:
                 return f"destination queue ({node},{dest}) = {q}, not 0, entering slot {state.t}"
-        elif q < -tol or q > q_hi + tol:
+        elif q < -q_tol or q > q_hi + q_tol:
             return f"queue ({node},{dest}) = {q} outside [0, {q_hi}] entering slot {state.t}"
-    for eid, e in state.E.items():
-        e_hi = params.store_bound(eid)
-        if e < -tol or e > e_hi + tol:
-            return f"key store {eid} = {e} outside [0, {e_hi}] entering slot {state.t}"
+    for eid, e, lo, hi in zip(eids, E, e_lo, e_hi):
+        if e < lo or e > hi:
+            return f"key store {eid} = {e} outside [0, {params.store_bound(eid)}] entering slot {state.t}"
     return None
 
 
@@ -578,9 +594,15 @@ def step(
 
 @dataclass(frozen=True)
 class DriftAudit:
+    """The slot's drift verdict. ``slack`` is ``2B - sum dQ^2 - sum dE^2``:
+
+    twice the margin by which drift-minus-reward stays under its bound, an
+    exact integer in exact mode. ``ok`` is ``slack >= 0``, less a rounding
+    tolerance scaled to ``2B`` in float mode.
+    """
+
     ok: bool
-    lhs: float
-    rhs: float
+    slack: Num
 
 
 def drift_audit(
@@ -591,59 +613,46 @@ def drift_audit(
 ) -> DriftAudit:
     """Check the slot's drift-minus-reward against its constant bound.
 
-    The drift is evaluated under the nominal dynamics, where every served
-    flow moves its full nominal rate: the form in which the bound holds for
-    every bounded decision. ``next_state`` is ``step``'s transition, which
-    is already nominal except for flows whose sender ran short; only those
-    are corrected here. Only injected decisions can run short: a controller
-    step that moved less than nominal raises StateInvariantError.
-
-    In exact mode both sides are compared as doubled integers.
+    The bound is checked under the nominal dynamics, where every served
+    flow moves its full nominal rate: the form in which it holds for every
+    bounded decision. There each queue moves by ``dQ`` (its admission, less
+    what it sends, plus what it receives; a flow into its own destination
+    has no receiving queue, and the bound weighs it against that
+    destination's queue, which stays 0) and each key store by
+    ``dE = S*K - P``. The
+    doubled drift ``sum (Q + dQ)^2 - Q^2 + (g + dE)^2 - g^2`` with key gap
+    ``g = E - theta`` expands to ``sum 2*Q*dQ + dQ^2 + 2*g*dE + dE^2``. Its
+    linear terms are exactly the backlog and key-gap weights the bound
+    grants (``2*Q*R``, ``2*mu*(Q_src - Q_dst)``, ``2*g*(S*K - P)``), and
+    the reward ``2*V*U(R)`` stands on both sides, so all of them cancel
+    (Neely, *Stochastic Network Optimization*, 2010): the inequality holds
+    iff ``2B - sum dQ^2 - sum dE^2 >= 0``. The increments come straight
+    from the decision, so ``next_state`` is not read; an injected flow
+    whose sender ran short still counts at nominal. A controller step that
+    moved less than nominal raises StateInvariantError.
     """
-    params = cfg.params
-    Q, E = state.Q, state.E
-
-    nominal_Q = next_state.Q
+    dQ = dict(decision.R)
+    get = dQ.get
+    injected = decision.injected
     for eid, flow in decision.served.items():
-        if flow.actual == flow.nominal:
-            continue
-        if not decision.injected:
+        nominal = flow.nominal
+        if flow.actual != nominal and not injected:
             raise StateInvariantError(
-                f"controller step moved {flow.actual} of nominal {flow.nominal} "
+                f"controller step moved {flow.actual} of nominal {nominal} "
                 f"on edge {eid} at slot {state.t}"
             )
-        if nominal_Q is next_state.Q:
-            nominal_Q = dict(nominal_Q)
-        shortfall = flow.nominal - flow.actual
-        nominal_Q[(flow.src, flow.dest)] -= shortfall
-        if flow.dst != flow.dest:
-            nominal_Q[(flow.dst, flow.dest)] += shortfall
+        dest = flow.dest
+        src = (flow.src, dest)
+        dQ[src] = get(src, 0) - nominal
+        if flow.dst != dest:
+            dst = (flow.dst, dest)
+            dQ[dst] = get(dst, 0) + nominal
+    dq = dQ.values()
+    slack = cfg.params.B2 - sum(map(mul, dq, dq))
 
-    # summed in a fixed order (queues, then edges, then commodities, then
-    # flows), which keeps float runs equal to a replay bit for bit
-    plan = cfg.plan
-    gap = list(map(sub, map(E.__getitem__, plan.eids), plan.theta))
-    next_gap = map(sub, map(next_state.E.__getitem__, plan.eids), plan.theta)
-    values = [(pair, r, cfg.commodities[pair].value(r)) for pair, r in decision.R.items()]
-    nQ, Qv = nominal_Q.values(), Q.values()
-    lhs2 = (
-        sum(map(mul, nQ, nQ))
-        - sum(map(mul, Qv, Qv))
-        + sum(map(pow, next_gap, repeat(2)))
-        - sum(map(pow, gap, repeat(2)))
-        - 2 * params.V * sum([u for _, _, u in values])
-    )
-
-    rhs2 = params.B2
     S, P = decision.S, decision.P
-    for eid, K, g in zip(plan.eids, plan.K, gap):
-        rhs2 += 2 * g * S[eid] * K
-        rhs2 -= 2 * g * P[eid]
-    for pair, r, u in values:
-        rhs2 -= 2 * (params.V * u - Q[pair] * r)
-    for flow in decision.served.values():
-        rhs2 -= 2 * flow.nominal * (Q[(flow.src, flow.dest)] - Q[(flow.dst, flow.dest)])
-
-    tol = 0 if params.exact else 1e-9
-    ok = lhs2 <= rhs2 + tol
-    return DriftAudit(ok=ok, lhs=lhs2 / 2, rhs=rhs2 / 2)
+    for eid, K in zip(cfg.plan.eids, cfg.plan.K):
+        dE = S[eid] * K - P[eid]
+        slack -= dE * dE
+    tol = 0 if cfg.params.exact else _FLOAT_RTOL * cfg.params.B2
+    return DriftAudit(slack >= -tol, slack)

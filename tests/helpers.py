@@ -616,6 +616,9 @@ class ReferenceCsvObserver:
                 ]
             )
 
+    def flush(self) -> None:
+        """Nothing to do: every row is written as it is made."""
+
 
 # -- static-oracle referee ----------------------------------------------------
 
@@ -721,8 +724,11 @@ def replay_drift_audit(state, decision, next_state, cfg) -> DriftAudit:
 
     Re-applies every served flow at its nominal rate, in step's operation
     order, to rebuild the nominal next state; checks that a controller step
-    landed on it; and derives the doubled drift constant 2*B inline from the
-    network and its links instead of reading it.
+    landed on it; derives the doubled drift constant 2*B inline from the
+    network and its links instead of reading it; and evaluates both doubled
+    sides of the drift inequality in full, squares of whole queues and key
+    gaps included. The slack is their difference, ``rhs2 - lhs2``, and
+    ``ok`` allows float mode a rounding tolerance of 1e-12 * 2B.
     """
     params = cfg.params
     Q, E = state.Q, state.E
@@ -741,8 +747,8 @@ def replay_drift_audit(state, decision, next_state, cfg) -> DriftAudit:
         eid: E[eid] - decision.P[eid] + decision.S[eid] * links[eid].K for eid in E
     }
 
-    tol = 0 if params.exact else 1e-9
     if not decision.injected:
+        tol = 0 if params.exact else 1e-9
         diverged = any(
             abs(nominal_E[eid] - next_state.E[eid]) > tol for eid in E
         ) or any(abs(next_state.Q[k] - v) > tol for k, v in nominal_Q.items())
@@ -763,8 +769,8 @@ def replay_drift_audit(state, decision, next_state, cfg) -> DriftAudit:
     n, m = len(cfg.network.nodes), len(cfg.network.edges)
     P_cap = max(lp.P_max for lp in links.values())
     K_max = max(lp.K for lp in links.values())
-    rhs2 = n**2 * (3 * params.d_max**2 * params.mu_max**2 + 2 * params.R_max**2)
-    rhs2 += m * (P_cap + K_max) ** 2
+    B2 = n**2 * (3 * params.d_max**2 * params.mu_max**2 + 2 * params.R_max**2) + m * (P_cap + K_max) ** 2
+    rhs2 = B2
     for eid in E:
         rhs2 += 2 * (E[eid] - theta[eid]) * decision.S[eid] * links[eid].K
         rhs2 -= 2 * (E[eid] - theta[eid]) * decision.P[eid]
@@ -773,4 +779,29 @@ def replay_drift_audit(state, decision, next_state, cfg) -> DriftAudit:
     for flow in decision.served.values():
         rhs2 -= 2 * flow.nominal * (Q[(flow.src, flow.dest)] - Q[(flow.dst, flow.dest)])
 
-    return DriftAudit(ok=lhs2 <= rhs2 + tol, lhs=lhs2 / 2, rhs=rhs2 / 2)
+    slack = rhs2 - lhs2
+    return DriftAudit(ok=slack >= (0 if params.exact else -1e-12 * B2), slack=slack)
+
+
+# -- certified-bounds referee -------------------------------------------------
+
+def walk_bounds_violation(state, params) -> str | None:
+    """The certified ranges checked entity by entity, each key store against
+
+    its own ``theta + K_max``: the referee for ``scheduler._bounds_violation``.
+    Float mode lets each bound ``b`` overshoot by ``1e-12 * b``, at either
+    end of its range.
+    """
+    rtol = 0 if params.exact else 1e-12
+    q_hi = params.beta * params.V + params.R_max
+    for (node, dest), q in state.Q.items():
+        if node == dest:
+            if q != 0:
+                return f"destination queue ({node},{dest}) = {q}, not 0, entering slot {state.t}"
+        elif q < -rtol * q_hi or q > q_hi + rtol * q_hi:
+            return f"queue ({node},{dest}) = {q} outside [0, {q_hi}] entering slot {state.t}"
+    for eid, e in state.E.items():
+        e_hi = params.theta[eid] + params.K_max
+        if e < -rtol * e_hi or e > e_hi + rtol * e_hi:
+            return f"key store {eid} = {e} outside [0, {e_hi}] entering slot {state.t}"
+    return None

@@ -3,7 +3,8 @@
 ``perfbench/`` imports names from ``qkdnet`` and, with ``--trace 1``,
 patches functions inside its modules. A cleanup that drops one of those
 names breaks the benchmark without failing any other test, so this module
-checks every imported name, every patch target, and that each module's
+checks every imported name, every patch target, that a traced op records
+calls at every boundary its workload must reach, and that each module's
 ``__all__`` and the package's re-exports agree.
 """
 
@@ -66,6 +67,9 @@ def test_every_trace_patch_target_exists_and_a_traced_op_passes(worker, workload
     with patched(targets):
         _, _, fails, _, _ = w.op(0, tracer.call)
     assert fails == []
+    # a boundary the op bypasses leaves its per-layer metrics unmeasured
+    calls = {name: agg["calls"] for name, agg in tracer.totals().items()}
+    assert [b for b in worker.REACHES[workload] if not calls.get(b)] == []
 
 
 @pytest.mark.parametrize("module", ["graph_core", "harness", "scheduler", "security"])

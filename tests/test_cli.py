@@ -10,11 +10,12 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from qkdnet import cli
+from qkdnet.graph_core import Network
 from qkdnet.harness import Scenario, run
-from qkdnet.scheduler import LinkParams, Utility
+from qkdnet.scheduler import LinkParams, StateInvariantError, Utility
 from qkdnet.security import demo7_network
 
-from helpers import ReferenceCsvObserver, with_link_params
+from helpers import ReferenceCsvObserver, diamond_network, with_link_params
 
 
 FIXTURE_YAML = """
@@ -305,7 +306,9 @@ def test_sweep_checks_every_v_before_solving(diamond_cfg, capsys, monkeypatch):
 
 def _csv_bytes(observer_factory, scenario):
     fh = io.StringIO(newline="")
-    run(scenario, observer=observer_factory(fh))
+    observer = observer_factory(fh)
+    run(scenario, observer=observer)
+    observer.flush()
     return fh.getvalue().encode()
 
 
@@ -328,6 +331,94 @@ def test_csv_writer_bytes_equal_the_reference_writer(kind):
     assert got == want
     assert got.count(b"\r\n") == 1 + 3000 * (7 * 3 + 9)
     assert (b"." in got) == (kind == "log1p")
+
+
+def test_csv_writer_quotes_labels_like_the_reference_writer():
+    """Node and edge labels holding a comma or a double quote are quoted, and
+
+    quotes doubled, exactly as ``csv.writer`` does: in the entity ids and in
+    the served destination.
+    """
+    net = Network.from_links(
+        [("e,1", "a", 'm"1'), ('e"2', 'm"1', "b,x"), ("e3", "a", "m,2"), ("e4", "m,2", "b,x")],
+        alice="a",
+        bob="b,x",
+    )
+    net = with_link_params(net, LinkParams(K=3, P_max=3))
+    commodities = {("a", "b,x"): Utility("linear", 1), ('m"1', "a"): Utility("linear", 1)}
+    scenario = Scenario.build(net, commodities, V=60, R_max=8, T=1500, seed=3)
+    got = _csv_bytes(lambda fh: cli._CsvObserver(fh, scenario.config), scenario)
+    assert got == _csv_bytes(ReferenceCsvObserver, scenario)
+    for quoted in (b'"e:e,1"', b'"e:e""2"', b'"q:m""1>a"', b'"q:m,2>b,x"', b',"b,x",'):
+        assert quoted in got, quoted
+
+
+class _CountedWrites(io.StringIO):
+    """A text buffer that records how many rows each write carried."""
+
+    def __init__(self) -> None:
+        super().__init__(newline="")
+        self.rows_per_write: list[int] = []
+
+    def write(self, text: str) -> int:
+        self.rows_per_write.append(text.count("\r\n"))
+        return super().write(text)
+
+
+def test_csv_writer_writes_whole_chunks_in_slots_and_the_rest_on_flush():
+    """On the diamond (8 rows a slot) a 1000-slot horizon is no multiple of
+
+    the chunk: whole chunks go out during the run, the rest only on flush,
+    and the bytes still equal the reference writer's.
+    """
+    scenario = Scenario.build(
+        diamond_network(), {("a", "b"): Utility("linear", 1)}, V=60, R_max=8, T=1000, seed=5
+    )
+    rows, chunk = 8 * 1000, -(-cli._CSV_CHUNK_ROWS // 8) * 8
+    assert rows % chunk
+    fh = _CountedWrites()
+    observer = cli._CsvObserver(fh, scenario.config)
+    run(scenario, observer=observer)
+    assert fh.rows_per_write == [1] + [chunk] * (rows // chunk)
+    observer.flush()
+    assert fh.rows_per_write == [1] + [chunk] * (rows // chunk) + [rows % chunk]
+    assert fh.getvalue().encode() == _csv_bytes(ReferenceCsvObserver, scenario)
+
+
+def test_simulate_zero_horizon_writes_the_header_only(diamond_cfg, tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    assert cli.main(["simulate", diamond_cfg, "--horizon", "0", "--csv", str(trace)]) == 0
+    assert "slots: 0" in capsys.readouterr().out
+    assert trace.read_bytes() == b"slot,entity-id,Q,E,S,P,R,served-b,served-rate,actual\r\n"
+
+
+def test_simulate_csv_holds_every_slot_before_a_failure(diamond_cfg, tmp_path, monkeypatch):
+    """A run that raises mid-horizon still leaves each slot observed before
+
+    the failure on disk: the same bytes the reference writer gives for a
+    run that stops there.
+    """
+    from qkdnet import harness
+
+    fail_at = 700
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    writer = cli._CsvObserver
+    monkeypatch.setattr(cli, "_CsvObserver", lambda fh, cfg: ReferenceCsvObserver(fh))
+    assert cli.main(["simulate", diamond_cfg, "--horizon", str(fail_at), "--csv", str(want)]) == 0
+    monkeypatch.setattr(cli, "_CsvObserver", writer)
+
+    real_step = harness.step
+
+    def failing_step(state, cfg, rng, decision=None):
+        if state.t == fail_at:
+            raise StateInvariantError("failure injected by the test")
+        return real_step(state, cfg, rng, decision=decision)
+
+    monkeypatch.setattr(harness, "step", failing_step)
+    with pytest.raises(StateInvariantError, match="injected by the test"):
+        cli.main(["simulate", diamond_cfg, "--csv", str(got)])
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_bytes().count(b"\r\n") == 1 + fail_at * 8
 
 
 def test_dump_config_round_trips(fixture_cfg, capsys):

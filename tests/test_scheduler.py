@@ -14,6 +14,7 @@ from qkdnet.scheduler import (
     LinkParams,
     ScheduleConfig,
     StateInvariantError,
+    StepDecision,
     Utility,
     admit,
     drift_audit,
@@ -34,6 +35,7 @@ from helpers import (
     replay_drift_audit,
     schedule_commodity,
     two_node_network,
+    walk_bounds_violation,
     with_link_params,
 )
 from qkdnet.security import demo7_network
@@ -302,7 +304,7 @@ def test_drift_audit_controller_and_injected():
         else:
             state, decision, audit = step(state, cfg, rng)
         da = drift_audit(prev, decision, state, cfg)
-        assert da.ok, (t, da.lhs, da.rhs)
+        assert da.ok, (t, da.slack)
 
 
 def test_drift_audit_float_mode():
@@ -377,6 +379,84 @@ def test_bounds_violation_names_slot_entity_value_and_bound():
     assert _bounds_violation(state, cfg.params) == "destination queue (b,b) = 3, not 0, entering slot 12"
 
 
+def _unequal_store_config(kind):
+    """demo7 with its own ``delta`` and ``P_max`` on every edge, so every key
+
+    store has its own bound ``theta + K_max``.
+    """
+    K = {"k1": 4, "k2": 3, "k3": 5, "k4": 2, "k5": 4, "k6": 3, "k7": 2, "k8": 5, "k9": 4}
+    links = {
+        eid: LinkParams(K=k, P_max=3 + i % 4, delta=1 + i % 3) for i, (eid, k) in enumerate(K.items())
+    }
+    commodities = {pair: Utility(kind, w) for pair, w in DEMO7_COMMODITIES.items()}
+    return ScheduleConfig.build(with_link_params(demo7_network(), links), commodities, 100, 6)
+
+
+class _NoWalk(dict):
+    """Queues that fail the test if anything walks them item by item."""
+
+    def items(self):
+        raise AssertionError("the one-pass check fell through to the entity walk")
+
+
+@pytest.mark.parametrize("kind", ["linear", "log1p"])
+def test_bounds_check_matches_an_entity_walk_on_unequal_store_bounds(kind):
+    """Random states of a config whose store bounds differ: the one-pass check
+
+    and the entity walk agree on every state, word for word, and an in-bound
+    state is cleared without a walk, even with stores above the smallest
+    store bound. Out-of-bound states push one entity just past its range:
+    by 1 in exact mode, by 1e-9 of its bound in float mode, where a store
+    inside its 1e-12 rounding allowance still passes.
+    """
+    cfg = _unequal_store_config(kind)
+    params = cfg.params
+    assert params.exact == (kind == "linear")
+    bounds = {eid: params.store_bound(eid) for eid in params.theta}
+    assert len(set(bounds.values())) > 2
+    q_hi = params.queue_bound
+    rng = Random(kind)
+
+    def draw(hi):
+        return rng.randint(0, hi) if params.exact else rng.uniform(0, hi)
+
+    def past(bound, up):
+        if params.exact:
+            return bound + 1 if up else -1
+        return bound + 1e-9 * bound if up else -1e-9 * bound
+
+    above_smallest = 0
+    for i in range(600):
+        state = initial_state(cfg)
+        state.t = i
+        for node, dest in state.Q:
+            state.Q[(node, dest)] = 0 if node == dest else draw(q_hi)
+        for eid in state.E:
+            state.E[eid] = draw(bounds[eid])
+        inside = i % 2 == 0
+        if inside:
+            if not params.exact:
+                eid = rng.choice(list(bounds))
+                state.E[eid] = bounds[eid] + 0.5e-12 * bounds[eid]
+            above_smallest += max(state.E.values()) > min(bounds.values())
+        else:
+            what = rng.randrange(5)
+            if what < 2:
+                key = rng.choice([k for k in state.Q if k[0] != k[1]])
+                state.Q[key] = past(q_hi, what == 0)
+            elif what == 2:
+                state.Q[(cfg.dests[0], cfg.dests[0])] = 1
+            else:
+                eid = rng.choice(list(bounds))
+                state.E[eid] = past(bounds[eid], what == 3)
+        want = walk_bounds_violation(state, params)
+        assert (want is None) == inside, (i, want)
+        if inside:
+            state.Q = _NoWalk(state.Q)
+        assert _bounds_violation(state, params) == want, i
+    assert above_smallest > 100
+
+
 def test_one_bounds_scan_per_slot(monkeypatch):
     """Each slot scans its post-step state once and carries the result
 
@@ -439,6 +519,48 @@ def test_trajectories_deterministic_per_seed():
     assert runs[0] == runs[1]
 
 
+OUT_OF_BOX_CASES = [
+    ("demo7-exact", lambda: fixture_config()),
+    ("diamond-log1p", lambda: ScheduleConfig.build(
+        diamond_network(), {("a", "b"): Utility("log1p", 2)}, 100, 8)),
+]
+
+
+@pytest.mark.parametrize("name,make_cfg", OUT_OF_BOX_CASES, ids=[c[0] for c in OUT_OF_BOX_CASES])
+def test_drift_audit_fails_an_admission_outside_the_box(name, make_cfg):
+    """One admission of ``isqrt(2B) + 1`` bits, far above ``R_max``, is the
+
+    only increment of its slot, so the slack is ``2B - r^2 < 0``: the audit,
+    its replay referee and the run's ``drift_ok`` all report the failure.
+    """
+    cfg = make_cfg()
+    params = cfg.params
+    pair = cfg.pairs[0]
+    over = math.isqrt(int(params.B2)) + 1
+    assert over > params.R_max
+
+    def outside_the_box(state, cfg, rng, t):
+        if t != 40:
+            return None
+        no_keys = dict.fromkeys(state.E, 0)
+        return StepDecision(S=no_keys, R={pair: over}, P=no_keys, served={}, injected=True)
+
+    rng = Random(8)
+    state = initial_state(cfg)
+    for t in range(40):
+        state, _, _ = step(state, cfg, rng)
+    decision = outside_the_box(state, cfg, rng, 40)
+    new_state, decision, _ = step(state, cfg, rng, decision=decision)
+    got = drift_audit(state, decision, new_state, cfg)
+    want = replay_drift_audit(state, decision, new_state, cfg)
+    assert not got.ok and not want.ok
+    assert got.slack == params.B2 - over * over < 0
+    assert abs(got.slack - want.slack) <= 1e-12 * params.B2
+
+    result = run(Scenario(cfg, 100, 8), inject=outside_the_box)
+    assert result.injected_slots == 1 and not result.drift_ok
+
+
 def test_lexicographic_mode_ignores_rng():
     cfg = fixture_config(tie_mode="lexicographic")
     finals = []
@@ -470,7 +592,7 @@ def test_drift_audit_holds_for_random_states_and_actions(seed):
     decision = random_feasible_decision(state, cfg, rng)
     new_state, decision, _ = step(state, cfg, rng, decision=decision)
     da = drift_audit(state, decision, new_state, cfg)
-    assert da.ok, (da.lhs, da.rhs)
+    assert da.ok, da.slack
 
 
 # -- the audit against its replay referee, and pinned trajectories ---------------
@@ -493,14 +615,15 @@ AUDIT_CASES = [
 
 @pytest.mark.parametrize("name,make_cfg,T", AUDIT_CASES, ids=[c[0] for c in AUDIT_CASES])
 def test_drift_audit_matches_replay_referee(name, make_cfg, T):
-    """The audit reads step's transition; the referee replays every transfer.
+    """The audit sums the decision's increments; the referee replays every
 
-    Both must agree on every slot, controller and injected alike. Injection
-    comes in bursts, so controller slots also run from states pushed outside
-    the certified bounds. Exact runs agree by integer arithmetic. In float
-    runs a short injected flow is corrected by its shortfall instead of
-    replayed, which could differ from the replay in the last bit; on these
-    seeded runs it does not, so equality is asserted there too.
+    transfer and evaluates both sides of the drift inequality in full. Their
+    verdicts must agree on every slot, controller and injected alike.
+    Injection comes in bursts, so controller slots also run from states
+    pushed outside the certified bounds. Exact runs agree on the slack by
+    integer arithmetic. Float runs sum different terms in a different order,
+    so their slacks may differ by rounding: within 1e-12 of ``2B``, the
+    audit's own float tolerance.
     """
     cfg = make_cfg()
     assert cfg.params.exact == ("log1p" not in name)
@@ -512,7 +635,12 @@ def test_drift_audit_matches_replay_referee(name, make_cfg, T):
         decision = random_feasible_decision(state, cfg, rng) if t % 10 in (3, 4, 5) else None
         state, decision, _ = step(state, cfg, rng, decision=decision)
         got = drift_audit(prev, decision, state, cfg)
-        assert got == replay_drift_audit(prev, decision, state, cfg), t
+        want = replay_drift_audit(prev, decision, state, cfg)
+        assert got.ok == want.ok, t
+        if cfg.params.exact:
+            assert got.slack == want.slack and type(got.slack) is int, t
+        else:
+            assert abs(got.slack - want.slack) <= 1e-12 * cfg.params.B2, (t, got.slack, want.slack)
         injected += decision.injected
         short += any(f.actual != f.nominal for f in decision.served.values())
     assert injected == 3 * T // 10 and short > 0
@@ -628,3 +756,39 @@ def test_fused_decision_matches_reference(net, tie_mode, kind):
     elif kind == "linear" and net != "rated-diamond":
         assert draws > 0  # integer backlogs tie, so the random pick is exercised
 
+
+
+def test_fused_decision_matches_reference_on_float_ties():
+    """Float backlogs forced equal, so the random tie pick is drawn in a
+
+    log1p case and in rate-function cases. On edge e1 (a-m1) the flow a->m1
+    toward b weighs ``Q[a,b] - Q[m1,b] - gamma`` and the flow m1->a toward a
+    weighs ``Q[m1,a] - gamma``; ``Q[a,b] = 2x`` and ``Q[m1,b] = Q[m1,a] = x``
+    tie them exactly for any float x. Every store sits at its target, so e1
+    spends keys and serves one of the two. Random mode must draw on every
+    state, with the referee's generator drawing alike; lexicographic mode
+    never draws.
+    """
+    for net, kind in (("diamond", "log1p"), ("rated-diamond", "linear"), ("rated-diamond", "log1p")):
+        make_net, make_commodities, V, R_max, _ = DECISION_NETWORKS[net]
+        for tie_mode in ("random", "lexicographic"):
+            cfg = ScheduleConfig.build(make_net(), make_commodities(kind), V, R_max, tie_mode=tie_mode)
+            params = cfg.params
+            rng = Random(net + kind + tie_mode)
+            draws = 0
+            for i in range(200):
+                state = initial_state(cfg)
+                for node, dest in state.Q:
+                    state.Q[(node, dest)] = 0.0 if node == dest else rng.uniform(0, params.queue_bound)
+                x = params.gamma + rng.uniform(1, 50)
+                state.Q[("a", "b")], state.Q[("m1", "b")], state.Q[("m1", "a")] = 2 * x, x, x
+                state.E.update(params.theta)
+                before = rng.getstate()
+                referee_rng = Random()
+                referee_rng.setstate(before)
+                decision = _controller_decision(state, cfg, rng)
+                assert repr(decision) == repr(reference_decision(state, cfg, referee_rng)), (net, kind, i)
+                assert rng.getstate() == referee_rng.getstate(), (net, kind, i)
+                assert decision.served["e1"].dest in ("a", "b")
+                draws += rng.getstate() != before
+            assert draws == (200 if tie_mode == "random" else 0), (net, kind, tie_mode)
