@@ -1,22 +1,22 @@
 """Simulation harness: audited runs, long-run metrics, and the static oracle.
 
 ``run`` drives the slot controller over a finite horizon, drift-auditing
-every slot, and returns per-slot traces. ``oracle_optimal`` solves the
-static multicommodity program the controller is measured against: it knows
-the whole network and the long-run key budgets, which the slot controller
-never sees. It is one flow LP, tightened by tangent cuts for concave
-utilities until its bound certifies the answer within a small relative gap.
+every slot, and returns per-slot traces as plain tuples. ``oracle_optimal``
+solves the static multicommodity program the controller is measured
+against: it knows the whole network and the long-run key budgets, which the
+slot controller never sees. It is one flow LP, tightened by tangent cuts for
+concave utilities until its bound certifies the answer within a small
+relative gap.
 ``v_sweep`` runs the controller at increasing V and checks each
 measured utility against the oracle value minus the guaranteed gap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Mapping, Sequence
-
-import numpy as np
 
 from .graph_core import Network
 from .scheduler import (
@@ -81,35 +81,37 @@ class Scenario:
 
 @dataclass
 class Metrics:
-    """Per-slot traces. Backlog is observed at slot start."""
+    """Per-slot traces as tuples, one entry per slot; backlog is observed at
 
-    pairs: tuple[tuple[str, str], ...]
-    dests: tuple[str, ...]
-    admitted: dict[tuple[str, str], np.ndarray]
-    delivered: dict[str, np.ndarray]
-    backlog: np.ndarray
+    slot start. ``admitted`` follows the config's commodity order. A rate is
+    the mean over the last ``tail`` fraction of the slots, at least one.
+    """
+
+    admitted: dict[tuple[str, str], tuple]
+    delivered: dict[str, tuple]
+    backlog: tuple
 
     @staticmethod
-    def _tail(x: np.ndarray, frac: float) -> np.ndarray:
-        if len(x) == 0:
-            return x
-        keep = int(round(len(x) * frac))
-        return x[len(x) - keep:]
+    def _tail_mean(x: tuple, tail: float) -> float:
+        if not 0 < tail <= 1:
+            raise ValueError(f"tail must lie in (0, 1], got {tail}")
+        if not x:
+            return 0.0
+        keep = max(1, round(len(x) * tail))
+        return math.fsum(x[len(x) - keep:]) / keep
 
     def admitted_rate(self, pair: tuple[str, str], tail: float = 0.8) -> float:
-        return float(np.mean(self._tail(self.admitted[pair], tail))) if len(self.backlog) else 0.0
+        return self._tail_mean(self.admitted[pair], tail)
 
     def delivered_rate(self, dest: str, tail: float = 0.8) -> float:
-        return float(np.mean(self._tail(self.delivered[dest], tail))) if len(self.backlog) else 0.0
+        return self._tail_mean(self.delivered[dest], tail)
 
     def utility_of_rates(self, commodities: Mapping[tuple[str, str], Utility], tail: float = 0.8) -> float:
         """Utility evaluated at the tail-averaged admitted rates."""
-        return float(
-            sum(commodities[p].value(self.admitted_rate(p, tail)) for p in self.pairs)
-        )
+        return float(sum(commodities[p].value(self.admitted_rate(p, tail)) for p in self.admitted))
 
     def max_backlog(self) -> float:
-        return float(self.backlog.max()) if len(self.backlog) else 0.0
+        return float(max(self.backlog, default=0))
 
 
 @dataclass(frozen=True)
@@ -165,11 +167,9 @@ def run(
             observer(t, prev, decision, audit)
 
     metrics = Metrics(
-        pairs=pairs,
-        dests=dests,
         admitted=_columns(admitted, pairs),
         delivered=_columns(delivered, dests),
-        backlog=np.array(backlog, dtype=float),
+        backlog=tuple(backlog),
     )
     return RunResult(
         scenario=scenario,
@@ -183,9 +183,8 @@ def run(
 
 
 def _columns(rows: list[tuple], keys: tuple) -> dict:
-    """One float array per key from per-slot rows that follow ``keys``."""
-    table = np.array(rows, dtype=float).reshape(len(rows), len(keys))
-    return {key: np.array(column) for key, column in zip(keys, table.T)}
+    """One trace per key from per-slot rows that follow ``keys``."""
+    return dict(zip(keys, list(zip(*rows)) or [()] * len(keys)))
 
 
 @dataclass(frozen=True)
@@ -226,8 +225,9 @@ def oracle_optimal(
     links = _check_problem(network, commodities, R_max)
     if any(lp.mu_of_P is not None for lp in links.values()):
         raise ValueError("the static oracle supports identity-rate (one-time pad) links only")
-    # imported here, not at module level: scipy.optimize costs every
-    # ``import qkdnet`` most of its start-up time and memory
+    # imported here, not at module level: numpy and scipy.optimize would cost
+    # every ``import qkdnet`` most of its start-up time and memory
+    import numpy as np
     from scipy.optimize import linprog
 
     # a one-time-pad link moves one data bit per key bit spent, and spends
@@ -301,7 +301,6 @@ class SweepRow:
     measured: float
     oracle: float
     gap_bound: float
-    delivered: dict[str, float]
     max_backlog: float
     passed: bool
 
@@ -342,9 +341,6 @@ def v_sweep(
                     measured=measured,
                     oracle=oracle.value,
                     gap_bound=gap,
-                    delivered={
-                        d: result.metrics.delivered_rate(d) for d in scenario.config.dests
-                    },
                     max_backlog=result.metrics.max_backlog(),
                     passed=passed,
                 )

@@ -331,7 +331,7 @@ def diamond_sweep():
                     "seed": seed,
                     "measured": measured,
                     "B_tilde": scenario.config.params.B_tilde,
-                    "avg_backlog": float(result.metrics.backlog.mean()),
+                    "avg_backlog": sum(result.metrics.backlog) / len(result.metrics.backlog),
                     "queue_bound": scenario.config.params.queue_bound,
                     "elapsed": elapsed,
                 }

@@ -221,6 +221,58 @@ def test_simulate_summary_and_csv(diamond_cfg, tmp_path, capsys):
     assert first_edge[1] == "e:e1" and first_edge[3] == "0" and first_edge[4] == "1"
 
 
+SIMULATE_SUMMARIES = {
+    ("linear", None): (
+        "slots: 2000  seed: 2  V: 100\n"
+        "admitted a>b: 6.0000 /slot (tail 80%)\n"
+        "delivered b: 6.0000 /slot (tail 80%)\n"
+        "utility at tail rates: 6.0000\n"
+        "max total backlog: 170\n"
+        "per-queue bound 108: held on all slots\n"
+    ),
+    ("linear", "137"): (
+        "slots: 137  seed: 2  V: 100\n"
+        "admitted a>b: 5.8909 /slot (tail 80%)\n"
+        "delivered b: 5.8364 /slot (tail 80%)\n"
+        "utility at tail rates: 5.8909\n"
+        "max total backlog: 170\n"
+        "per-queue bound 108: held on all slots\n"
+    ),
+    ("log1p", None): (
+        "slots: 2000  seed: 2  V: 100\n"
+        "admitted a>b: 3.0000 /slot (tail 80%)\n"
+        "delivered b: 3.0000 /slot (tail 80%)\n"
+        "utility at tail rates: 1.3863\n"
+        "max total backlog: 68\n"
+        "per-queue bound 108.0: held on all slots\n"
+    ),
+    ("log1p", "137"): (
+        "slots: 137  seed: 2  V: 100\n"
+        "admitted a>b: 2.7393 /slot (tail 80%)\n"
+        "delivered b: 2.7818 /slot (tail 80%)\n"
+        "utility at tail rates: 1.3189\n"
+        "max total backlog: 68\n"
+        "per-queue bound 108.0: held on all slots\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind,horizon", SIMULATE_SUMMARIES, ids=lambda v: str(v))
+def test_simulate_prints_the_pinned_summary(tmp_path, capsys, kind, horizon):
+    """The printed rates, utility and backlog of the diamond config and its
+
+    log1p twin, digit for digit, over the config's horizon and a short one.
+    """
+    p = tmp_path / f"diamond-{kind}.yaml"
+    p.write_text(DIAMOND_YAML.replace("utility: linear", f"utility: {kind}"))
+    argv = ["simulate", str(p)] + (["--horizon", horizon] if horizon else [])
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (
+        SIMULATE_SUMMARIES[kind, horizon]
+        + "drift audit: ok on all slots\nkey availability: ok on all slots\n"
+    )
+
+
 def test_simulate_overrides(diamond_cfg, capsys):
     assert cli.main(["simulate", diamond_cfg, "--horizon", "50", "--v", "40", "--seed", "9"]) == 0
     out = capsys.readouterr().out

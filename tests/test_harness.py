@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 from random import Random
 
+import numpy as np
 import pytest
 
 from qkdnet.graph_core import Network
@@ -133,13 +134,17 @@ def test_oracle_rejects_a_non_positive_or_non_finite_r_max(R_max):
 
 
 def test_import_does_not_load_the_lp_solver():
+    """``qkdnet.cli`` (the command line and the benchmark load it) pulls in
+
+    neither the LP solver nor numpy: both load only when the oracle runs.
+    """
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import sys, qkdnet; print('scipy.optimize' in sys.modules)"
+    probe = "import sys, qkdnet.cli; print('scipy.optimize' in sys.modules, 'numpy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 LOG = Utility("log1p", 1)
@@ -191,8 +196,8 @@ def test_negative_horizon_rejected():
 def test_run_is_deterministic():
     s = Scenario.build(diamond_network(), {("a", "b"): LIN}, V=80, R_max=8, T=3000, seed=12)
     r1, r2 = run(s), run(s)
-    assert (r1.metrics.admitted[("a", "b")] == r2.metrics.admitted[("a", "b")]).all()
-    assert (r1.metrics.backlog == r2.metrics.backlog).all()
+    assert r1.metrics.admitted[("a", "b")] == r2.metrics.admitted[("a", "b")]
+    assert r1.metrics.backlog == r2.metrics.backlog
     assert r1.final_state.Q == r2.final_state.Q
     assert r1.final_state.E == r2.final_state.E
 
@@ -227,16 +232,61 @@ def test_injection_counted_and_audited():
 
 
 def test_metrics_tail_windows():
-    m = Metrics(
-        pairs=(("a", "b"),),
-        dests=("b",),
-        admitted={("a", "b"): __import__("numpy").arange(10.0)},
-        delivered={"b": __import__("numpy").ones(10)},
-        backlog=__import__("numpy").arange(10.0),
-    )
-    assert m.admitted_rate(("a", "b"), tail=0.8) == pytest.approx(5.5)  # mean of 2..9
+    m = Metrics(admitted={("a", "b"): tuple(range(10))}, delivered={"b": (1,) * 10}, backlog=tuple(range(10)))
+    assert m.admitted_rate(("a", "b"), tail=0.8) == 5.5  # mean of 2..9
+    assert m.admitted_rate(("a", "b"), tail=1.0) == 4.5
     assert m.delivered_rate("b", tail=1.0) == 1.0
     assert m.max_backlog() == 9
+    # a window shorter than half a slot still keeps the last slot
+    assert m.admitted_rate(("a", "b"), tail=0.04) == 9.0
+    for bad in (1.5, 0, -0.2, math.nan):
+        with pytest.raises(ValueError, match="tail must lie in"):
+            m.admitted_rate(("a", "b"), tail=bad)
+        with pytest.raises(ValueError, match="tail must lie in"):
+            m.delivered_rate("b", tail=bad)
+        with pytest.raises(ValueError, match="tail must lie in"):
+            m.utility_of_rates({("a", "b"): LIN}, tail=bad)
+    empty = Metrics(admitted={("a", "b"): ()}, delivered={"b": ()}, backlog=())
+    assert empty.admitted_rate(("a", "b"), tail=0.01) == 0.0
+    assert empty.delivered_rate("b") == 0.0
+    assert empty.max_backlog() == 0.0
+    with pytest.raises(ValueError, match="tail must lie in"):
+        empty.admitted_rate(("a", "b"), tail=1.5)
+
+
+def _c05_scenario(T):
+    K = {"k1": 4, "k2": 3, "k3": 5, "k4": 2, "k5": 4, "k6": 3, "k7": 2, "k8": 5, "k9": 4}
+    net = with_link_params(demo7_network(), {eid: LinkParams(K=k, P_max=5) for eid, k in K.items()})
+    commodities = {("a", "b"): LIN, ("c3", "c2"): Utility("linear", 2), ("c5", "a"): LIN}
+    return Scenario.build(net, commodities, V=100, R_max=6, T=T, seed=11)
+
+
+@pytest.mark.parametrize(
+    "make_scenario,exact",
+    [
+        (lambda: _c05_scenario(T=5000), True),
+        (lambda: Scenario.build(diamond_network(), {("a", "b"): LOG}, V=150, R_max=8, T=4000, seed=4), False),
+    ],
+    ids=["c05-exact", "diamond-log1p"],
+)
+def test_rates_match_a_numpy_mean_of_the_same_tail(make_scenario, exact):
+    """Each rate against numpy's mean of the same window: equal on the
+
+    integer C05 fixture, within 1e-12 relative on the log1p diamond.
+    """
+    metrics = run(make_scenario()).metrics
+    traces = [(metrics.admitted_rate, key, trace) for key, trace in metrics.admitted.items()]
+    traces += [(metrics.delivered_rate, key, trace) for key, trace in metrics.delivered.items()]
+    assert any(isinstance(x, float) for _, _, trace in traces for x in trace) != exact
+    for tail in (1.0, 0.8, 0.37, 0.001):
+        for rate, key, trace in traces:
+            keep = max(1, round(len(trace) * tail))
+            want = float(np.mean(np.array(trace[len(trace) - keep:], dtype=float)))
+            if exact:
+                assert rate(key, tail) == want
+            else:
+                assert rate(key, tail) == pytest.approx(want, rel=1e-12, abs=0)
+    assert metrics.max_backlog() == float(np.max(np.array(metrics.backlog, dtype=float)))
 
 
 # -- sweeps ------------------------------------------------------------------------
