@@ -259,6 +259,10 @@ def _cmd_attack(cfg: _Config, args: argparse.Namespace) -> int:
     except DirectLinkError:
         print(f"no strongest attack exists: {a} and {b} share a direct link")
         return EXIT_OK
+    if not attack:
+        print("strongest attack: (none)")
+        print(f"{a} and {b} are already disconnected; sec=0 for every scheme")
+        return EXIT_OK
     print(f"strongest attack: {_fmt_nodes(attack)} (size {len(attack)})")
     print(f"removing it disconnects {a} from {b}; sec=0 for every scheme")
     return EXIT_OK

@@ -10,10 +10,13 @@ lexicographically smallest witness, so repeated runs produce identical output.
 
 Cuts and disjoint paths share one int-indexed unit-capacity max flow on the
 node-split digraph (Menger's theorem; Edmonds and Karp, JACM 1972). The
-lexicographically least minimum cut takes one max flow plus at most one
-cancelled unit and one augmentation per candidate node, O(k*m + n*m) for a
-cut of size k. Path enumeration prunes every branch that can no longer
-reach ``b``, so the delay between two paths is polynomial.
+lexicographically least minimum cut is read off that one flow: the minimum
+cuts are the closed sets of its residual graph (Picard and Queyranne, Math.
+Prog. Study 13, 1980), so each candidate node is tested by reachability,
+not by a fresh augmentation. Accepted nodes cost O(m) in all, a rejected
+one at most O(m), so a cut of size k costs O(k*m + n*m) in the worst case.
+Path enumeration prunes every branch that can no longer reach ``b``, so
+the delay between two paths is polynomial.
 """
 
 from __future__ import annotations
@@ -251,11 +254,10 @@ class _SplitFlow:
     left out. So the flow value is the largest number of internally
     node-disjoint paths. Arc ``e`` and its reverse ``e ^ 1`` are paired in
     ``head`` and ``cap`` (residual capacity): a forward arc, always even,
-    carries flow iff its ``cap`` is 0, except the arc of a node that
-    ``cut_node`` removed, whose in-copy no flow reaches. Each vertex lists
-    its arcs by head index, which is (label, in/out) order, so the
-    breadth-first searches (Edmonds-Karp) pick the same augmenting paths on
-    every run.
+    carries flow iff its ``cap`` is 0. Node arcs come first; edge arcs
+    start at ``edge_base``. Each vertex lists its arcs by head index, which
+    is (label, in/out) order, so the breadth-first searches (Edmonds-Karp)
+    pick the same augmenting paths on every run.
     """
 
     def __init__(self, g: Network, a: str, b: str) -> None:
@@ -267,6 +269,7 @@ class _SplitFlow:
             if i != ia and i != ib:
                 self.node_arc[i] = len(head)
                 head += (2 * i + 1, 2 * i)
+        self.edge_base = len(head)
         for e in g.edges:
             for x, y in ((index[e.u], index[e.v]), (index[e.v], index[e.u])):
                 if x != ib and y != ia:
@@ -309,65 +312,75 @@ class _SplitFlow:
         cap = self.cap
         return next(arc for arc in self.out[x] if not arc & 1 and not cap[arc])
 
-    def cut_node(self, i: int) -> bool:
-        """Remove interior node ``i`` iff that lowers the max flow value.
-
-        On True, ``i`` stays removed and the flow is a max flow of the
-        remainder, one unit smaller. On False, ``i`` stays in and the flow,
-        possibly rerouted, keeps its value.
-        """
-        head, cap = self.head, self.cap
-        node = self.node_arc[i]
-        if cap[node]:  # no flow through i survives its removal
-            return False
-        strand = [node]
-        y = head[node]
-        while y != self.sink:
-            arc = self.flow_arc(y)
-            strand.append(arc)
-            y = head[arc]
-            if y == 2 * i:  # a circulation: i carries no a-b flow
-                return False
-        y = 2 * i
-        while y != self.source:
-            arc = next(arc for arc in self.out[y] if arc & 1 and cap[arc])
-            strand.append(arc ^ 1)
-            y = head[arc]
-        for arc in strand:
-            cap[arc], cap[arc ^ 1] = 1, 0
-        cap[node] = 0
-        if self.augment():
-            cap[node] = 1
-            return False
-        return True
-
 
 def min_vertex_cut(g: Network, a: str, b: str) -> frozenset[str]:
     """Smallest interior node set whose removal separates ``a`` from ``b``.
 
     Among all minimum cuts the lexicographically smallest one (as a sorted
     label tuple) is returned. Raises DirectLinkError when the endpoints are
-    adjacent, since then no interior set can separate them.
+    adjacent, since then no interior set can separate them; disconnected
+    endpoints give the empty cut.
 
-    One max flow of value ``k`` is computed; then each interior node, in
-    label order, joins the cut iff removing it lowers the flow value, which
-    needs at most one cancelled unit and one augmentation. The total cost is
-    O(k*m + n*m).
+    One max flow of value ``k`` is computed. With edge arcs uncapped it is
+    still a max flow, and its minimum cuts are the node-arc sets leaving a
+    closed set of the residual graph that holds the source and not the sink
+    (Picard and Queyranne, Math. Prog. Study 13, 1980). Each interior node
+    ``i``, in label order, joins the cut iff some minimum cut extends the
+    chosen nodes and ``i``: iff the least closed set holding the source and
+    the in-copies of the chosen nodes and ``i`` misses the sink and their
+    out-copies. That set is the union of their reach sets. So with ``S``
+    the vertices the source or a chosen in-copy reaches, and ``F`` those
+    that reach the sink or a chosen out-copy, ``i`` joins iff ``2i`` is not
+    in ``F``, ``2i + 1`` is not in ``S`` and ``2i`` does not reach
+    ``2i + 1``. Accepted nodes grow ``S`` and ``F`` by O(m) over the whole
+    cut; a rejected node costs at most one search from ``2i``, which stops
+    at ``2i + 1``. The worst case is O(k*m + n*m).
     """
     _require_pair(g, a, b)
     if g.edge_between(a, b) is not None:
         raise DirectLinkError(f"{a!r} and {b!r} share a direct edge; no interior cut exists")
     flow = _SplitFlow(g, a, b)
+    head, out, cap = flow.head, flow.out, flow.cap
+    # the residual graph with edge arcs uncapped: every forward edge arc,
+    # and any other arc with capacity left
+    live = [c or arc >= flow.edge_base and not arc & 1 for arc, c in enumerate(cap)]
+
+    def grow(root: int, known: set[int], back: int = 0, halt: int = -1) -> set[int] | None:
+        """The vertices outside ``known`` that ``root`` reaches (that reach
+        ``root`` if ``back``), or None once ``halt`` is one of them."""
+        found = {root}
+        queue = [root]
+        for x in queue:
+            for arc in out[x]:
+                y = head[arc]
+                if live[arc ^ back] and y not in known and y not in found:
+                    if y == halt:
+                        return None
+                    found.add(y)
+                    queue.append(y)
+        return found
+
+    S = grow(flow.source, set())
+    F = grow(flow.sink, set(), back=1)
     chosen: list[str] = []
     need = flow.value
-    # Greedy by label: v joins the cut iff some minimum cut extends
-    # chosen + [v], i.e. the remainder still separates with need - 1 nodes.
     for i, v in enumerate(g.nodes):
         if need == 0:
             break
-        if v not in (a, b) and flow.cut_node(i):
-            chosen.append(v)
-            need -= 1
+        node = flow.node_arc[i]
+        # F is closed backwards, so when 2i is not in F nothing 2i reaches
+        # is; an unused node arc means 2i reaches 2i + 1 at once
+        if node < 0 or cap[node] or 2 * i in F or 2 * i + 1 in S:
+            continue
+        reached = grow(2 * i, S, halt=2 * i + 1)
+        if reached is None:
+            continue
+        # S | reached is closed and misses 2i + 1, so nothing in it reaches
+        # 2i + 1: the new F stays disjoint from the new S
+        S |= reached
+        F |= grow(2 * i + 1, F, back=1)
+        chosen.append(v)
+        need -= 1
     if need != 0:  # cannot happen: the greedy always completes a minimum cut
         raise AssertionError(f"cut construction stalled at {chosen} (need {need} more)")
     return frozenset(chosen)

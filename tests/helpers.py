@@ -297,13 +297,17 @@ def dict_flow_disjoint_paths(g: Network, a: str, b: str) -> tuple[Path, ...]:
     return tuple(sorted(paths, key=lambda p: p.nodes))
 
 
-def random_relay_graph(rng: Random, n: int) -> Network:
+def random_relay_graph(rng: Random, n: int, by_distance: bool = False) -> Network:
     """A sparse relay network with random labels: a ring lattice of ``n``
 
     relays, each linked to the two nearest on either side, n/5 random
     chords, and the endpoints on 3-5 random relays each. Labels are a
     random permutation, so neither the cut nor the lexicographic path
-    order follows the topology.
+    order follows the topology. With ``by_distance`` alice has 3 access
+    relays and bob 5, and the labels grow with hop distance from bob
+    (random order within one distance), the shape of the benchmark's relay
+    graphs: the cut lies on alice's side and carries large labels, so the
+    label-order cut greedy rules out every relay nearer to bob first.
     """
     links = set()
     for i in range(n):
@@ -312,14 +316,35 @@ def random_relay_graph(rng: Random, n: int) -> Network:
     for _ in range(n // 5):
         links.add(tuple(sorted(rng.sample(range(n), 2))))
     alice, bob = n, n + 1
-    links.update((i, alice) for i in rng.sample(range(n), rng.randint(3, 5)))
-    links.update((i, bob) for i in rng.sample(range(n), rng.randint(3, 5)))
-    names = [f"r{k:03d}" for k in rng.sample(range(n + 2), n + 2)]
+    links.update((i, alice) for i in rng.sample(range(n), 3 if by_distance else rng.randint(3, 5)))
+    links.update((i, bob) for i in rng.sample(range(n), 5 if by_distance else rng.randint(3, 5)))
+    rank = rng.sample(range(n + 2), n + 2)
+    if by_distance:
+        hops = _hops_from(bob, links)
+        for k, i in enumerate(sorted(range(n + 2), key=lambda i: (hops[i], rank[i]))):
+            rank[i] = k
+    names = [f"r{k:03d}" for k in rank]
     return Network.from_links(
         [(f"e{k:04d}", names[i], names[j]) for k, (i, j) in enumerate(sorted(links))],
         alice=names[alice],
         bob=names[bob],
     )
+
+
+def _hops_from(root: int, links) -> dict[int, int]:
+    """Hop distance from ``root`` to every node ``links`` connect it to."""
+    adj: dict[int, list[int]] = {}
+    for i, j in links:
+        adj.setdefault(i, []).append(j)
+        adj.setdefault(j, []).append(i)
+    hops = {root: 0}
+    queue = [root]
+    for x in queue:
+        for y in adj[x]:
+            if y not in hops:
+                hops[y] = hops[x] + 1
+                queue.append(y)
+    return hops
 
 
 # -- hit-count referees for disjoint routes -------------------------------------

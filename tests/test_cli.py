@@ -128,6 +128,16 @@ def test_attack_direct_link(tmp_path, capsys):
     assert "no strongest attack exists" in capsys.readouterr().out
 
 
+def test_attack_on_disconnected_endpoints_removes_nothing(tmp_path, capsys):
+    p = tmp_path / "apart.yaml"
+    p.write_text("alice: a\nbob: b\nedges:\n  - {id: e1, u: a, v: c}\n  - {id: e2, u: d, v: b}\n")
+    assert cli.main(["attack", str(p)]) == 0
+    assert capsys.readouterr().out == (
+        "strongest attack: (none)\n"
+        "a and b are already disconnected; sec=0 for every scheme\n"
+    )
+
+
 def test_assess_direct_link_secure_path_is_the_link(tmp_path, capsys):
     p = tmp_path / "direct.yaml"
     p.write_text(DIRECT_YAML)

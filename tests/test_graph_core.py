@@ -4,7 +4,7 @@ import itertools
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from random import Random
 
 from qkdnet.graph_core import (
@@ -252,6 +252,36 @@ def test_cut_and_disjoint_paths_match_referees_on_random_label_relay_graphs():
         assert max_disjoint_paths(g, a, b) == dict_flow_disjoint_paths(g, a, b)
 
 
+def test_cut_matches_the_referee_on_distance_labelled_relay_graphs():
+    """Labels grow with hop distance from bob and the cut lies on alice's
+    side, so the greedy rules out every relay nearer to bob first."""
+    rng = Random(5151)
+    for _ in range(10):
+        g = random_relay_graph(rng, rng.randint(50, 150), by_distance=True)
+        a, b = g.alice, g.bob
+        cut = min_vertex_cut(g, a, b)
+        assert cut == rerun_min_vertex_cut(g, a, b)
+        assert disconnects(g, cut, a, b)
+
+
+@settings(max_examples=300)
+@given(st.integers(3, 14), st.floats(0.05, 0.6), st.randoms(use_true_random=False))
+def test_cut_matches_the_referee_on_random_labelled_graphs(n, p, rng):
+    """Random labels and densities, disconnected endpoints included."""
+    names = [f"v{k:02d}" for k in rng.sample(range(n), n)]
+    links = [(f"e{i:02d}{j:02d}", names[i], names[j]) for i, j in pair_list(n) if rng.random() < p]
+    g = Network.from_links(links, alice=names[0], bob=names[-1], extra_nodes=names)
+    a, b = g.alice, g.bob
+    if g.edge_between(a, b) is not None:
+        with pytest.raises(DirectLinkError):
+            min_vertex_cut(g, a, b)
+        with pytest.raises(DirectLinkError):
+            rerun_min_vertex_cut(g, a, b)
+    else:
+        assert min_vertex_cut(g, a, b) == rerun_min_vertex_cut(g, a, b)
+    assert max_disjoint_paths(g, a, b) == dict_flow_disjoint_paths(g, a, b)
+
+
 def worst_label_grid(n: int) -> Network:
     """An n x n grid, row-major labels ``gRRCC``, bob on every node of row 0
     and alice on three spaced nodes of the last row. Alice's three
@@ -289,10 +319,34 @@ def test_worst_label_30x30_grid_cut_is_fast():
     assert cut == frozenset({"g2925", "g2927", "g2929"})
 
 
+def test_worst_label_80x80_grid_cut_is_fast():
+    g = worst_label_grid(80)
+    t0 = time.perf_counter()
+    cut = min_vertex_cut(g, "a", "b")
+    assert time.perf_counter() - t0 < 1.0
+    assert cut == frozenset({"g7975", "g7977", "g7979"})
+
+
 def test_demo_min_cut():
     g = demo7_network()
     assert min_vertex_cut(g, "a", "b") == frozenset({"c1", "c3"})
     assert brute_min_vertex_cut(g, "a", "b") == frozenset({"c1", "c3"})
+
+
+@pytest.mark.parametrize(
+    "links",
+    [
+        [("e1", "a", "c"), ("e2", "d", "b")],
+        [("e1", "c", "b")],
+        [("e1", "a", "c")],
+        [("e1", "c", "d")],
+    ],
+    ids=["apart", "alice-isolated", "bob-isolated", "both-isolated"],
+)
+def test_disconnected_endpoints_give_an_empty_cut_and_no_paths(links):
+    g = Network.from_links(links, alice="a", bob="b", extra_nodes=("a", "b"))
+    assert min_vertex_cut(g, "a", "b") == frozenset() == rerun_min_vertex_cut(g, "a", "b")
+    assert max_disjoint_paths(g, "a", "b") == () == dict_flow_disjoint_paths(g, "a", "b")
 
 
 def test_min_cut_direct_link_raises():
