@@ -13,7 +13,6 @@ from .graph_core import (
 )
 from .harness import Metrics, OracleResult, RunResult, Scenario, oracle_optimal, run, v_sweep
 from .scheduler import (
-    ControlParams,
     LinkParams,
     NetworkState,
     ScheduleConfig,

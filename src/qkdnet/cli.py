@@ -31,7 +31,7 @@ import yaml
 
 from .graph_core import DirectLinkError, Edge, Network
 from .harness import Scenario, oracle_optimal, run, v_sweep
-from .scheduler import LinkParams, NetworkState, SlotAudit, StepDecision, Utility, initial_state
+from .scheduler import LinkParams, NetworkState, ScheduleConfig, SlotAudit, StepDecision, Utility
 from .security import (
     PERFECTLY_SECRET,
     AttackSet,
@@ -130,8 +130,6 @@ def _network(doc: dict[str, Any]) -> Network:
                 )
             except (TypeError, KeyError, ValueError) as e:
                 raise ConfigError(f"bad link params on edge {eid!r}: {e}") from e
-            for key in ("K", "P_max", "delta"):  # a YAML true would pass as 1
-                _number(getattr(lp, key), f"edge {eid!r} params.{key}")
         edges.append(Edge(eid, _label(item["u"], "edge u"), _label(item["v"], "edge v"), link_params=lp))
     nodes = {e.u for e in edges} | {e.v for e in edges}
     nodes.update(_label(v, "nodes entries") for v in _shaped(doc, "nodes", list, "nodes"))
@@ -147,7 +145,6 @@ def _commodities(raw: list[Any]) -> dict[tuple[str, str], Utility]:
             utility = Utility(item.get("utility", "linear"), item.get("w", 1))
         except (TypeError, KeyError, ValueError) as e:
             raise ConfigError(f"bad commodity entry {item!r}: {e}") from e
-        _number(utility.w, f"commodity {pair[0]}->{pair[1]} w")
         if pair in out:
             raise ConfigError(f"duplicate commodity {pair[0]}->{pair[1]}")
         out[pair] = utility
@@ -323,7 +320,8 @@ class _CsvObserver:
 
     Q and E are observed at slot start; R, S, P and the served columns are
     that slot's decision. served-b is the destination the edge served. Rows
-    follow the sorted queue keys and edge ids. Labels are quoted once, each
+    follow the plan's queue keys and edge ids, which are sorted: nodes,
+    destinations and edge ids all are. Labels are quoted once, each
     row is one f-string, and rows go to the file in chunks of at least
     ``_CSV_CHUNK_ROWS``, written inside the slot call that completes one.
     ``flush`` writes the rest; the file's owner calls it before closing,
@@ -336,12 +334,12 @@ class _CsvObserver:
     def __init__(self, fh, cfg) -> None:
         self.fh = fh
         fh.write(",".join(map(_csv_field, self.HEADER)) + "\r\n")
-        state = initial_state(cfg)
+        plan = cfg.plan
         # each label comes with the commas around it: the empty Q column
         # after an edge label included
-        self.queues = [(key, f",{_csv_field(f'q:{key[0]}>{key[1]}')},") for key in sorted(state.Q)]
+        self.queues = [(key, f",{_csv_field(f'q:{key[0]}>{key[1]}')},") for key in plan.queues]
         self.row_of = {key: i for i, (key, _) in enumerate(self.queues)}
-        self.stores = [(eid, f",{_csv_field(f'e:{eid}')},,") for eid in sorted(state.E)]
+        self.stores = [(eid, f",{_csv_field(f'e:{eid}')},,") for eid in plan.eids]
         self.dests = {dest: _csv_field(dest) for dest in cfg.dests}
         self.rows: list[str] = []
 
@@ -378,7 +376,7 @@ def _cmd_simulate(cfg: _Config, args: argparse.Namespace) -> int:
     R_max = _sched_value(cfg, args, "R_max", "r_max")
     T = _sched_value(cfg, args, "T", "horizon")
     tie_mode = args.tie_mode or cfg.schedule.get("tie_mode") or "random"
-    scenario = Scenario.build(cfg.network, commodities, V, R_max, T, cfg.seed, tie_mode)
+    scenario = Scenario(ScheduleConfig.build(cfg.network, commodities, V, R_max, tie_mode), T, cfg.seed)
 
     with open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext() as csv_fh:
         observer = None if csv_fh is None else _CsvObserver(csv_fh, scenario.config)
@@ -389,7 +387,6 @@ def _cmd_simulate(cfg: _Config, args: argparse.Namespace) -> int:
             if observer is not None:
                 observer.flush()
 
-    params = scenario.config.params
     print(f"slots: {T}  seed: {scenario.seed}  V: {V}")
     for pair in scenario.config.pairs:
         print(f"admitted {pair[0]}>{pair[1]}: {result.metrics.admitted_rate(pair):.4f} /slot (tail 80%)")
@@ -398,7 +395,7 @@ def _cmd_simulate(cfg: _Config, args: argparse.Namespace) -> int:
     print(f"utility at tail rates: {result.metrics.utility_of_rates(commodities):.4f}")
     print(f"max total backlog: {result.metrics.max_backlog():.0f}")
     checked = "held on all slots" if result.bounds_checked else "not certified"
-    print(f"per-queue bound {params.queue_bound}: {checked}")
+    print(f"per-queue bound {scenario.config.queue_bound}: {checked}")
     print(f"drift audit: {'ok on all slots' if result.drift_ok else 'FAILED'}")
     print(f"key availability: {'ok on all slots' if result.availability_ok else 'FAILED'}")
     if args.csv:
@@ -460,7 +457,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("config", help="YAML network config")
-        p.add_argument("--dump-config", action="store_true", help="print the effective config and exit")
+        p.add_argument(
+            "--dump-config", action="store_true", help="print the config as read, without the flag overrides, and exit"
+        )
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     p = sub.add_parser("assess", help="judge an attack against the configured network")

@@ -208,8 +208,18 @@ def _reach(adj: dict[str, tuple[str, ...]], root: str, blocked: Container[str]) 
     return reach
 
 
-def enumerate_simple_paths(g: Network, a: str, b: str) -> Iterator[Path]:
-    """Yield every simple ``a`` to ``b`` path.
+def _removal(g: Network, removed: Iterable[str], a: str, b: str) -> frozenset[str]:
+    """``removed`` as a set of the network's nodes, refusing ``a`` and ``b``."""
+    gone = frozenset(removed)
+    for v in gone:
+        g.require_node(v)
+    if a in gone or b in gone:
+        raise ValueError("cannot remove an endpoint")
+    return gone
+
+
+def enumerate_simple_paths(g: Network, a: str, b: str, removed: Iterable[str] = ()) -> Iterator[Path]:
+    """Yield every simple ``a`` to ``b`` path that avoids the ``removed`` nodes.
 
     Paths come out in lexicographic order of their node sequences because
     neighbors are explored in sorted order. Each depth-first step first
@@ -219,7 +229,8 @@ def enumerate_simple_paths(g: Network, a: str, b: str) -> Iterator[Path]:
     """
     _require_pair(g, a, b)
     adj = g.adjacency
-    on_trail = {a}
+    # a removed node is blocked like a node on the trail: never entered
+    on_trail = {a, *_removal(g, removed, a, b)}
 
     def walk(node: str, trail: tuple[str, ...]) -> Iterator[Path]:
         reach = _reach(adj, b, on_trail)
@@ -236,11 +247,9 @@ def enumerate_simple_paths(g: Network, a: str, b: str) -> Iterator[Path]:
 
 def disconnects(g: Network, removed: Iterable[str], a: str, b: str) -> bool:
     """True iff deleting ``removed`` leaves no ``a`` to ``b`` route."""
-    gone = frozenset(removed)
-    for v in (*gone, a, b):
-        g.require_node(v)
-    if a in gone or b in gone:
-        raise ValueError("cannot remove an endpoint")
+    gone = _removal(g, removed, a, b)
+    g.require_node(a)
+    g.require_node(b)
     return b not in _reach(g.adjacency, a, gone)
 
 

@@ -1,7 +1,9 @@
 """Simulation harness: audited runs, long-run metrics, and the static oracle.
 
-``run`` drives the slot controller over a finite horizon, drift-auditing
-every slot, and returns per-slot traces as plain tuples. ``oracle_optimal``
+``run`` drives the slot controller over a ``Scenario`` (one
+``ScheduleConfig``, which holds the network, the commodities and every
+derived constant, plus a horizon and a seed), drift-auditing every slot,
+and returns per-slot traces as plain tuples. ``oracle_optimal``
 solves the static multicommodity program the controller is measured
 against: it knows the whole network and the long-run key budgets, which the
 slot controller never sees. It is one flow LP, tightened by tangent cuts for
@@ -55,7 +57,10 @@ Observer = Callable[[int, NetworkState, StepDecision, SlotAudit], None]
 
 @dataclass(frozen=True)
 class Scenario:
-    """A configured network plus horizon and seed: everything a run needs."""
+    """A schedule config plus horizon and seed: everything a run needs.
+
+    Write ``Scenario(ScheduleConfig.build(network, commodities, V, R_max), T, seed)``.
+    """
 
     config: ScheduleConfig
     T: int
@@ -64,19 +69,6 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.T < 0:
             raise ValueError("horizon must be non-negative")
-
-    @classmethod
-    def build(
-        cls,
-        network: Network,
-        commodities: Mapping[tuple[str, str], Utility],
-        V: int | float,
-        R_max: int | float,
-        T: int,
-        seed: int,
-        tie_mode: str = "random",
-    ) -> "Scenario":
-        return cls(ScheduleConfig.build(network, commodities, V, R_max, tie_mode), T, seed)
 
 
 @dataclass
@@ -157,8 +149,7 @@ def run(
             injected += 1
         prev = state
         state, decision, audit = step(state, cfg, rng, decision=decision)
-        da = drift_audit(prev, decision, state, cfg)
-        drift_ok = drift_ok and da.ok
+        drift_ok = drift_ok and drift_audit(decision, cfg).ok
         availability_ok = availability_ok and audit.availability_ok
         bounds_checked = bounds_checked and audit.bounds_checked
         admitted.append(tuple(map(decision.R.get, pairs, no_pairs)))
@@ -325,14 +316,14 @@ def v_sweep(
     oracle = oracle_optimal(network, commodities, R_max)
     rows = []
     for config in configs:
-        V = config.params.V
+        V = config.V
         for seed in seeds:
             scenario = Scenario(config, T, seed)
             result = run(scenario)
             if not (result.drift_ok and result.availability_ok):
                 raise RuntimeError(f"audit failed during sweep at V={V} seed={seed}")
             measured = result.metrics.utility_of_rates(commodities)
-            gap = scenario.config.params.B_tilde / V
+            gap = config.B_tilde / V
             passed = measured >= oracle.value - gap - _SWEEP_SLACK * oracle.value
             rows.append(
                 SweepRow(

@@ -34,7 +34,6 @@ from typing import Callable, Mapping
 from .graph_core import Network
 
 __all__ = [
-    "ControlParams",
     "DriftAudit",
     "LinkParams",
     "NetworkState",
@@ -62,6 +61,18 @@ class StateInvariantError(RuntimeError):
     """A certified state bound failed. This must never fire."""
 
 
+def _reject_bool(x: object, name: str) -> None:
+    """A bool is an int to Python, and would pass as the exact integer 0 or 1."""
+    if isinstance(x, bool):
+        raise ValueError(f"{name} must be a number, got {x!r}")
+
+
+def _require_positive_finite(x: Num, name: str) -> None:
+    _reject_bool(x, name)
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"{name} must be positive and finite, got {x!r}")
+
+
 @dataclass(frozen=True)
 class LinkParams:
     """Per-edge constants: key generation rate ``K`` per on-slot, the key
@@ -79,6 +90,8 @@ class LinkParams:
     mu_of_P: Callable[[Num], Num] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("K", "P_max", "delta"):
+            _reject_bool(getattr(self, name), name)
         if not all(math.isfinite(x) for x in (self.K, self.P_max, self.delta)):
             raise ValueError("K, P_max and delta must be finite")
         if self.K < 0 or self.P_max < 0:
@@ -93,11 +106,6 @@ class LinkParams:
 
     def rate(self, P: Num) -> Num:
         return P if self.mu_of_P is None else self.mu_of_P(P)
-
-
-def _require_positive_finite(x: Num, name: str) -> None:
-    if not (math.isfinite(x) and x > 0):
-        raise ValueError(f"{name} must be positive and finite, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -148,42 +156,46 @@ def _check_problem(
 
 
 @dataclass(frozen=True)
-class ControlParams:
-    """Derived constants the controller and its audits run on.
+class ScheduleConfig:
+    """A network with link parameters, the commodity set, and the constants
 
+    the controller and its audits run on, derived once by ``build``.
     ``theta`` is the per-edge key-store target ``delta*beta*V + P_max``;
-    ``gamma`` the scheduling margin ``R_max + d_max*mu_max``; ``B`` and
-    ``B_tilde`` the drift and utility-gap constants. ``B2`` is ``2*B``, the
-    form the drift audit compares in, and an integer in exact mode.
-    ``exact`` marks runs whose quantities are all integers, enabling exact
-    audits. ``dests`` are the commodity destinations in label order; a
-    node's queue for itself as destination must stay empty.
+    ``gamma`` the scheduling margin ``R_max + d_max*mu_max``; ``B2`` twice
+    the drift constant ``B``, the form the drift audit compares in, and an
+    integer in exact mode; ``B_tilde`` the utility-gap constant. ``exact``
+    marks runs whose quantities are all integers, enabling exact audits.
+    ``dests`` are the commodity destinations in label order; a node's queue
+    for itself as destination must stay empty.
     """
 
+    network: Network
+    commodities: dict[tuple[str, str], Utility]
+    tie_mode: str
     V: Num
     R_max: Num
     beta: Num
-    mu_max: Num
-    d_max: int
     gamma: Num
     theta: dict[str, Num]
     K_max: Num
     B2: Num
-    B: float
     B_tilde: float
     exact: bool
     dests: tuple[str, ...]
 
     @classmethod
-    def derive(
+    def build(
         cls,
         network: Network,
         commodities: Mapping[tuple[str, str], Utility],
         V: Num,
         R_max: Num,
-    ) -> "ControlParams":
+        tie_mode: str = "random",
+    ) -> "ScheduleConfig":
         links = _check_problem(network, commodities, R_max)
         _require_positive_finite(V, "V")
+        if tie_mode not in ("random", "lexicographic"):
+            raise ValueError(f"unknown tie mode {tie_mode!r}")
         beta = max(u.marginal(0) for u in commodities.values())
         mu_max = max(lp.rate(lp.P_max) for lp in links.values())
         d_max = max(network.degree(v) for v in network.nodes)
@@ -193,8 +205,6 @@ class ControlParams:
         P_cap = max(lp.P_max for lp in links.values())
         K_max = max(lp.K for lp in links.values())
         B2 = n * n * (3 * d_max**2 * mu_max**2 + 2 * R_max**2) + m * (P_cap + K_max) ** 2
-        B = B2 / 2
-        B_tilde = B + n * n * gamma * d_max * mu_max
         ints = [V, R_max, beta, mu_max, gamma, P_cap, K_max, *theta.values()]
         exact = (
             all(isinstance(x, int) for x in ints)
@@ -203,17 +213,17 @@ class ControlParams:
             and all(isinstance(lp.K, int) and isinstance(lp.P_max, int) for lp in links.values())
         )
         return cls(
+            network=network,
+            commodities=dict(commodities),
+            tie_mode=tie_mode,
             V=V,
             R_max=R_max,
             beta=beta,
-            mu_max=mu_max,
-            d_max=d_max,
             gamma=gamma,
             theta=theta,
             K_max=K_max,
             B2=B2,
-            B=B,
-            B_tilde=B_tilde,
+            B_tilde=B2 / 2 + n * n * gamma * d_max * mu_max,
             exact=exact,
             dests=tuple(sorted({dst for _, dst in commodities})),
         )
@@ -237,36 +247,6 @@ class ControlParams:
         if self.exact:
             return eids, (0,) * len(eids), bounds
         return eids, tuple(-_FLOAT_RTOL * b for b in bounds), tuple(b + _FLOAT_RTOL * b for b in bounds)
-
-
-@dataclass(frozen=True)
-class ScheduleConfig:
-    """A network with link parameters plus the commodity set and constants."""
-
-    network: Network
-    commodities: dict[tuple[str, str], Utility]
-    params: ControlParams
-    tie_mode: str = "random"
-
-    def __post_init__(self) -> None:
-        if self.tie_mode not in ("random", "lexicographic"):
-            raise ValueError(f"unknown tie mode {self.tie_mode!r}")
-
-    @classmethod
-    def build(
-        cls,
-        network: Network,
-        commodities: Mapping[tuple[str, str], Utility],
-        V: Num,
-        R_max: Num,
-        tie_mode: str = "random",
-    ) -> "ScheduleConfig":
-        params = ControlParams.derive(network, commodities, V, R_max)
-        return cls(network, dict(commodities), params, tie_mode)
-
-    @property
-    def dests(self) -> tuple[str, ...]:
-        return self.params.dests
 
     @cached_property
     def pairs(self) -> tuple[tuple[str, str], ...]:
@@ -314,7 +294,6 @@ class StepDecision:
     R: dict[tuple[str, str], Num]
     P: dict[str, Num]
     served: dict[str, ServedFlow]
-    injected: bool = False
 
 
 @dataclass(frozen=True)
@@ -350,7 +329,7 @@ class _Plan:
 
     @classmethod
     def compile(cls, cfg: ScheduleConfig) -> "_Plan":
-        V, theta = cfg.params.V, cfg.params.theta
+        V, theta = cfg.V, cfg.theta
         key = {(v, dest): (v, dest) for v in cfg.network.nodes for dest in cfg.dests}
         links = cfg.network.edges
         edges = []
@@ -387,7 +366,7 @@ def initial_state(cfg: ScheduleConfig) -> NetworkState:
     return NetworkState(0, Q, E, certified=True)
 
 
-def _bounds_violation(state: NetworkState, params: ControlParams) -> str | None:
+def _bounds_violation(state: NetworkState, cfg: ScheduleConfig) -> str | None:
     """The first queue or key store outside its certified range, described
 
     by entity, value and bound, or None when the state is inside them all.
@@ -396,9 +375,9 @@ def _bounds_violation(state: NetworkState, params: ControlParams) -> str | None:
     only a real violation is walked entity by entity. Float mode allows
     each bound ``_FLOAT_RTOL`` of itself for rounding.
     """
-    q_hi = params.queue_bound
-    q_tol = 0 if params.exact else _FLOAT_RTOL * q_hi
-    eids, e_lo, e_hi = params._store_limits
+    q_hi = cfg.queue_bound
+    q_tol = 0 if cfg.exact else _FLOAT_RTOL * q_hi
+    eids, e_lo, e_hi = cfg._store_limits
     E = list(map(state.E.__getitem__, eids))
     Q = state.Q.values()
     if (
@@ -406,7 +385,7 @@ def _bounds_violation(state: NetworkState, params: ControlParams) -> str | None:
         and max(Q) <= q_hi + q_tol
         and all(map(le, e_lo, E))
         and all(map(le, E, e_hi))
-        and not any(map(state.Q.get, zip(params.dests, params.dests)))
+        and not any(map(state.Q.get, zip(cfg.dests, cfg.dests)))
     ):
         return None
     for (node, dest), q in state.Q.items():
@@ -417,7 +396,7 @@ def _bounds_violation(state: NetworkState, params: ControlParams) -> str | None:
             return f"queue ({node},{dest}) = {q} outside [0, {q_hi}] entering slot {state.t}"
     for eid, e, lo, hi in zip(eids, E, e_lo, e_hi):
         if e < lo or e > hi:
-            return f"key store {eid} = {e} outside [0, {params.store_bound(eid)}] entering slot {state.t}"
+            return f"key store {eid} = {e} outside [0, {cfg.store_bound(eid)}] entering slot {state.t}"
     return None
 
 
@@ -468,9 +447,8 @@ def _controller_decision(state: NetworkState, cfg: ScheduleConfig, rng: Random) 
     random mode. Per commodity: admit by ``admit``, inlined for a linear
     utility.
     """
-    params = cfg.params
     Q, E = state.Q, state.E
-    gamma = params.gamma
+    gamma = cfg.gamma
     random_ties = cfg.tie_mode == "random"
     S: dict[str, int] = {}
     P: dict[str, Num] = {}
@@ -511,7 +489,7 @@ def _controller_decision(state: NetworkState, cfg: ScheduleConfig, rng: Random) 
             flow = ties[rng.randrange(len(ties))] if random_ties and len(ties) > 1 else ties[0]
             served[eid] = flow if rated is None else ServedFlow(flow.src, flow.dst, flow.dest, mu, mu)
     R: dict[tuple[str, str], Num] = {}
-    V, R_max = params.V, params.R_max
+    V, R_max = cfg.V, cfg.R_max
     for pair, u, Vw in cfg.plan.utilities:
         if Vw is None:
             R[pair] = admit(Q[pair], V, u, R_max)
@@ -526,31 +504,35 @@ def step(
     rng: Random,
     decision: StepDecision | None = None,
 ) -> tuple[NetworkState, StepDecision, SlotAudit]:
-    """Run one slot: decide (unless a decision is injected), then apply.
+    """Run one slot: decide, unless a decision is passed in, then apply.
 
-    Transfers move real data only: an edge whose sender holds less than the
-    nominal rate moves what exists (dummy filler pads the wire, so keys are
-    spent at nominal), and only such a flow is rebuilt with its smaller
-    ``actual``. Arrivals at a commodity's destination leave the system
-    immediately; destination queues stay pinned at zero.
+    A passed-in decision is an injected one. Transfers move real data only:
+    an edge whose sender holds less than the nominal rate moves what exists
+    (dummy filler pads the wire, so keys are spent at nominal), and only
+    such a flow is rebuilt with its smaller ``actual``. Arrivals at a
+    commodity's destination leave the system immediately; destination
+    queues stay pinned at zero.
 
-    The certified queue and store bounds are a preservation property: a
-    controller step from a certified state must land inside them, and such
-    steps raise StateInvariantError on any violation. Steps with an injected
-    decision, or controller steps from a state already pushed outside the
-    set by earlier injections, carry no such promise and skip the assert;
-    injected decisions still refuse to overdraw key stores. Either way the
-    new state is scanned once and the result kept as its ``certified``.
+    The controller's own flows always move their nominal rate; one that
+    moves less raises StateInvariantError. The certified queue and store
+    bounds are a preservation property: a controller step from a certified
+    state must land inside them, and such steps raise StateInvariantError
+    on any violation. Steps with an injected decision, or controller steps
+    from a state already pushed outside the set by earlier injections,
+    carry no such promise and skip the assert; an injected decision that
+    overdraws a key store raises ValueError. Either way the new state is
+    scanned once and the result kept as its ``certified``.
     """
-    check_bounds = decision is None and state.certified
-    if decision is None:
+    injected = decision is not None
+    check_bounds = not injected and state.certified
+    if not injected:
         decision = _controller_decision(state, cfg, rng)
 
     plan = cfg.plan
     E, S, P = state.E, decision.S, decision.P
     margins = list(map(sub, map(E.__getitem__, plan.eids), map(P.__getitem__, plan.eids)))
     min_margin = min(margins)
-    if decision.injected and min_margin < 0:
+    if injected and min_margin < 0:
         eid = next(eid for eid, margin in zip(plan.eids, margins) if margin < 0)
         raise ValueError(f"injected decision overdraws key store on edge {eid!r}")
     new_E = dict(zip(plan.eids, map(add, margins, map(mul, map(S.__getitem__, plan.eids), plan.K))))
@@ -569,6 +551,11 @@ def step(
         else:
             new_Q[(flow.dst, flow.dest)] += actual
         if actual != flow.actual:
+            if not injected:
+                raise StateInvariantError(
+                    f"controller step moved {actual} of nominal {flow.nominal} "
+                    f"on edge {eid} at slot {state.t}"
+                )
             if served is decision.served:
                 served = dict(served)
             served[eid] = replace(flow, actual=actual)
@@ -578,7 +565,7 @@ def step(
         decision = replace(decision, served=served)
 
     new_state = NetworkState(state.t + 1, new_Q, new_E, certified=False)
-    violation = _bounds_violation(new_state, cfg.params)
+    violation = _bounds_violation(new_state, cfg)
     if violation is not None and check_bounds:
         raise StateInvariantError(violation)
     new_state.certified = violation is None
@@ -605,12 +592,7 @@ class DriftAudit:
     slack: Num
 
 
-def drift_audit(
-    state: NetworkState,
-    decision: StepDecision,
-    next_state: NetworkState,
-    cfg: ScheduleConfig,
-) -> DriftAudit:
+def drift_audit(decision: StepDecision, cfg: ScheduleConfig) -> DriftAudit:
     """Check the slot's drift-minus-reward against its constant bound.
 
     The bound is checked under the nominal dynamics, where every served
@@ -627,20 +609,14 @@ def drift_audit(
     the reward ``2*V*U(R)`` stands on both sides, so all of them cancel
     (Neely, *Stochastic Network Optimization*, 2010): the inequality holds
     iff ``2B - sum dQ^2 - sum dE^2 >= 0``. The increments come straight
-    from the decision, so ``next_state`` is not read; an injected flow
-    whose sender ran short still counts at nominal. A controller step that
-    moved less than nominal raises StateInvariantError.
+    from the decision, so no state is read; an injected flow whose sender
+    ran short still counts at nominal, and ``step`` refuses a controller
+    flow that moves less.
     """
     dQ = dict(decision.R)
     get = dQ.get
-    injected = decision.injected
-    for eid, flow in decision.served.items():
+    for flow in decision.served.values():
         nominal = flow.nominal
-        if flow.actual != nominal and not injected:
-            raise StateInvariantError(
-                f"controller step moved {flow.actual} of nominal {nominal} "
-                f"on edge {eid} at slot {state.t}"
-            )
         dest = flow.dest
         src = (flow.src, dest)
         dQ[src] = get(src, 0) - nominal
@@ -648,11 +624,11 @@ def drift_audit(
             dst = (flow.dst, dest)
             dQ[dst] = get(dst, 0) + nominal
     dq = dQ.values()
-    slack = cfg.params.B2 - sum(map(mul, dq, dq))
+    slack = cfg.B2 - sum(map(mul, dq, dq))
 
     S, P = decision.S, decision.P
     for eid, K in zip(cfg.plan.eids, cfg.plan.K):
         dE = S[eid] * K - P[eid]
         slack -= dE * dE
-    tol = 0 if cfg.params.exact else _FLOAT_RTOL * cfg.params.B2
+    tol = 0 if cfg.exact else _FLOAT_RTOL * cfg.B2
     return DriftAudit(slack >= -tol, slack)

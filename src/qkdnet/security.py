@@ -233,14 +233,7 @@ def find_secure_path(g: Network, attack: "AttackSet | Iterable[str]") -> Path | 
     """Lexicographically least alice-to-bob path avoiding the attack, if any."""
     alice, bob = g.require_endpoints()
     a = _as_attack(g, attack)
-    keep = [n for n in g.nodes if n not in a.nodes]
-    sub = Network(
-        tuple(keep),
-        tuple(e for e in g.edges if e.u not in a.nodes and e.v not in a.nodes),
-        alice,
-        bob,
-    )
-    return next(enumerate_simple_paths(sub, alice, bob), None)
+    return next(enumerate_simple_paths(g, alice, bob, a.nodes), None)
 
 
 def min_strongest_attack(g: Network) -> AttackSet:

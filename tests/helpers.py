@@ -521,24 +521,23 @@ def random_feasible_decision(state, cfg, rng: Random) -> StepDecision:
     current store so the step is physically executable. Weights are ignored
     on purpose, which can serve a commodity uphill.
     """
-    params = cfg.params
     S = {eid: rng.randint(0, 1) for eid in state.E}
     R = {}
     for pair in cfg.pairs:
-        R[pair] = rng.randint(0, params.R_max) if params.exact else rng.uniform(0, params.R_max)
+        R[pair] = rng.randint(0, cfg.R_max) if cfg.exact else rng.uniform(0, cfg.R_max)
     P = {}
     served = {}
     for e in cfg.network.edges:
         lp = e.link_params
         cap = max(0, min(lp.P_max, state.E[e.id]))
-        P[e.id] = rng.randint(0, int(cap)) if params.exact else rng.uniform(0, cap)
+        P[e.id] = rng.randint(0, int(cap)) if cfg.exact else rng.uniform(0, cap)
         mu = lp.rate(P[e.id])
         if mu > 0 and rng.random() < 0.8:
             src, dst = (e.u, e.v) if rng.random() < 0.5 else (e.v, e.u)
             dest = cfg.dests[rng.randrange(len(cfg.dests))]
             if dest != src:
                 served[e.id] = ServedFlow(src=src, dst=dst, dest=dest, nominal=mu, actual=mu)
-    return StepDecision(S=S, R=R, P=P, served=served, injected=True)
+    return StepDecision(S=S, R=R, P=P, served=served)
 
 
 # -- slot-decision and CSV referees -------------------------------------------
@@ -592,16 +591,15 @@ def reference_decision(state, cfg, rng: Random) -> StepDecision:
 
     weight dict per edge: the referee for the fused ``_controller_decision``.
     """
-    params = cfg.params
     Q, E = state.Q, state.E
-    S = {eid: key_gen_decision(E[eid], th) for eid, th in params.theta.items()}
-    R = {pair: admit(Q[pair], params.V, cfg.commodities[pair], params.R_max) for pair in cfg.pairs}
+    S = {eid: key_gen_decision(E[eid], th) for eid, th in cfg.theta.items()}
+    R = {pair: admit(Q[pair], cfg.V, cfg.commodities[pair], cfg.R_max) for pair in cfg.pairs}
     P = {}
     served = {}
     for e in cfg.network.edges:
         lp = e.link_params
-        weights = edge_weights(e, Q, cfg.dests, params.gamma)
-        P[e.id] = key_consumption(max(weights.values()), E[e.id], params.theta[e.id], lp)
+        weights = edge_weights(e, Q, cfg.dests, cfg.gamma)
+        P[e.id] = key_consumption(max(weights.values()), E[e.id], cfg.theta[e.id], lp)
         flow = schedule_commodity(weights, lp.rate(P[e.id]), rng, cfg.tie_mode)
         if flow is not None:
             served[e.id] = flow
@@ -744,20 +742,21 @@ def grid_oracle(network: Network, commodities, R_max) -> tuple[float, dict]:
 
 # -- drift-audit referee ------------------------------------------------------
 
-def replay_drift_audit(state, decision, next_state, cfg) -> DriftAudit:
+def replay_drift_audit(state, decision, next_state, cfg, injected) -> DriftAudit:
     """Drift audit by full replay: the referee for ``scheduler.drift_audit``.
 
     Re-applies every served flow at its nominal rate, in step's operation
     order, to rebuild the nominal next state; checks that a controller step
-    landed on it; derives the doubled drift constant 2*B inline from the
-    network and its links instead of reading it; and evaluates both doubled
-    sides of the drift inequality in full, squares of whole queues and key
-    gaps included. The slack is their difference, ``rhs2 - lhs2``, and
-    ``ok`` allows float mode a rounding tolerance of 1e-12 * 2B.
+    (``injected`` false: the caller passed no decision to ``step``) landed
+    on it; derives the doubled drift constant 2*B inline from the network
+    and its links, maximum degree and largest link rate included, instead
+    of reading it; and evaluates both doubled sides of the drift inequality
+    in full, squares of whole queues and key gaps included. The slack is
+    their difference, ``rhs2 - lhs2``, and ``ok`` allows float mode a
+    rounding tolerance of 1e-12 * 2B.
     """
-    params = cfg.params
     Q, E = state.Q, state.E
-    theta = params.theta
+    theta = cfg.theta
     links = {e.id: e.link_params for e in cfg.network.edges}
 
     nominal_Q = dict(Q)
@@ -772,8 +771,8 @@ def replay_drift_audit(state, decision, next_state, cfg) -> DriftAudit:
         eid: E[eid] - decision.P[eid] + decision.S[eid] * links[eid].K for eid in E
     }
 
-    if not decision.injected:
-        tol = 0 if params.exact else 1e-9
+    if not injected:
+        tol = 0 if cfg.exact else 1e-9
         diverged = any(
             abs(nominal_E[eid] - next_state.E[eid]) > tol for eid in E
         ) or any(abs(next_state.Q[k] - v) > tol for k, v in nominal_Q.items())
@@ -788,37 +787,39 @@ def replay_drift_audit(state, decision, next_state, cfg) -> DriftAudit:
         - sum(v * v for v in Q.values())
         + sum((nominal_E[eid] - theta[eid]) ** 2 for eid in E)
         - sum((E[eid] - theta[eid]) ** 2 for eid in E)
-        - 2 * params.V * reward
+        - 2 * cfg.V * reward
     )
 
     n, m = len(cfg.network.nodes), len(cfg.network.edges)
     P_cap = max(lp.P_max for lp in links.values())
     K_max = max(lp.K for lp in links.values())
-    B2 = n**2 * (3 * params.d_max**2 * params.mu_max**2 + 2 * params.R_max**2) + m * (P_cap + K_max) ** 2
+    d_max = max(sum(v in (e.u, e.v) for e in cfg.network.edges) for v in cfg.network.nodes)
+    mu_max = max(lp.rate(lp.P_max) for lp in links.values())
+    B2 = n**2 * (3 * d_max**2 * mu_max**2 + 2 * cfg.R_max**2) + m * (P_cap + K_max) ** 2
     rhs2 = B2
     for eid in E:
         rhs2 += 2 * (E[eid] - theta[eid]) * decision.S[eid] * links[eid].K
         rhs2 -= 2 * (E[eid] - theta[eid]) * decision.P[eid]
     for pair, r in decision.R.items():
-        rhs2 -= 2 * (params.V * cfg.commodities[pair].value(r) - Q[pair] * r)
+        rhs2 -= 2 * (cfg.V * cfg.commodities[pair].value(r) - Q[pair] * r)
     for flow in decision.served.values():
         rhs2 -= 2 * flow.nominal * (Q[(flow.src, flow.dest)] - Q[(flow.dst, flow.dest)])
 
     slack = rhs2 - lhs2
-    return DriftAudit(ok=slack >= (0 if params.exact else -1e-12 * B2), slack=slack)
+    return DriftAudit(ok=slack >= (0 if cfg.exact else -1e-12 * B2), slack=slack)
 
 
 # -- certified-bounds referee -------------------------------------------------
 
-def walk_bounds_violation(state, params) -> str | None:
+def walk_bounds_violation(state, cfg) -> str | None:
     """The certified ranges checked entity by entity, each key store against
 
     its own ``theta + K_max``: the referee for ``scheduler._bounds_violation``.
     Float mode lets each bound ``b`` overshoot by ``1e-12 * b``, at either
     end of its range.
     """
-    rtol = 0 if params.exact else 1e-12
-    q_hi = params.beta * params.V + params.R_max
+    rtol = 0 if cfg.exact else 1e-12
+    q_hi = cfg.beta * cfg.V + cfg.R_max
     for (node, dest), q in state.Q.items():
         if node == dest:
             if q != 0:
@@ -826,7 +827,7 @@ def walk_bounds_violation(state, params) -> str | None:
         elif q < -rtol * q_hi or q > q_hi + rtol * q_hi:
             return f"queue ({node},{dest}) = {q} outside [0, {q_hi}] entering slot {state.t}"
     for eid, e in state.E.items():
-        e_hi = params.theta[eid] + params.K_max
+        e_hi = cfg.theta[eid] + cfg.K_max
         if e < -rtol * e_hi or e > e_hi + rtol * e_hi:
             return f"key store {eid} = {e} outside [0, {e_hi}] entering slot {state.t}"
     return None

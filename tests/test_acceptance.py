@@ -14,7 +14,7 @@ import pytest
 
 from qkdnet.graph_core import max_disjoint_paths
 from qkdnet.harness import Scenario, oracle_optimal, run
-from qkdnet.scheduler import LinkParams, Utility
+from qkdnet.scheduler import LinkParams, ScheduleConfig, Utility
 from qkdnet.security import (
     BROKEN,
     PERFECTLY_SECRET,
@@ -212,7 +212,7 @@ def fixture_run():
         ("c3", "c2"): Utility("linear", 2),
         ("c5", "a"): Utility("linear", 1),
     }
-    scenario = Scenario.build(net, commodities, V=100, R_max=6, T=FIXTURE_T, seed=11)
+    scenario = Scenario(ScheduleConfig.build(net, commodities, V=100, R_max=6), T=FIXTURE_T, seed=11)
     probe = _BoundsProbe()
     result = run(scenario, observer=probe)
     return scenario, probe, result
@@ -220,14 +220,14 @@ def fixture_run():
 
 def test_c05_queue_and_store_bounds_hold_100k_slots(fixture_run):
     scenario, probe, result = fixture_run
-    params = scenario.config.params
-    assert params.exact, "scenario must run in integer arithmetic"
+    cfg = scenario.config
+    assert cfg.exact, "scenario must run in integer arithmetic"
     assert probe.all_ints, "state left integer arithmetic"
-    q_hi = params.queue_bound  # beta*V + R_max = 2*100 + 6
+    q_hi = cfg.queue_bound  # beta*V + R_max = 2*100 + 6
     assert q_hi == 206
     assert 0 <= probe.min_q and probe.max_q <= q_hi
     for eid in probe.max_e:
-        e_hi = params.store_bound(eid)  # theta + K_max = 205 + 5
+        e_hi = cfg.store_bound(eid)  # theta + K_max = 205 + 5
         assert e_hi == 210
         assert 0 <= probe.min_e[eid] and probe.max_e[eid] <= e_hi
     assert probe.dest_pinned
@@ -244,10 +244,10 @@ def test_c05_queue_and_store_bounds_hold_100k_slots(fixture_run):
 def test_c05_tail_utility_within_guaranteed_gap_of_oracle(fixture_run):
     scenario, _, result = fixture_run
     cfg = scenario.config
-    oracle = oracle_optimal(cfg.network, cfg.commodities, cfg.params.R_max)
+    oracle = oracle_optimal(cfg.network, cfg.commodities, cfg.R_max)
     assert oracle.value == pytest.approx(13, abs=1e-9)
     measured = result.metrics.utility_of_rates(cfg.commodities)
-    floor = oracle.value - cfg.params.B_tilde / cfg.params.V - 0.02 * oracle.value
+    floor = oracle.value - cfg.B_tilde / cfg.V - 0.02 * oracle.value
     assert floor <= measured <= oracle.value * (1 + 1e-3), (measured, oracle.value)
     _verdict("C5", f"tail utility {measured:.4f} against U*={oracle.value:g}")
 
@@ -283,14 +283,14 @@ def test_c07_drift_audit_ten_seeded_runs_with_injections():
     for seed in range(6):
         runs.append(
             (
-                Scenario.build(diamond, {("a", "b"): Utility("linear", 1)}, 60, 8, 2000, seed),
+                Scenario(ScheduleConfig.build(diamond, {("a", "b"): Utility("linear", 1)}, 60, 8), 2000, seed),
                 inject if seed >= 3 else None,
             )
         )
     for seed in range(6, 10):
         runs.append(
             (
-                Scenario.build(fixture_net, fixture_commodities, 80, 6, 2000, seed),
+                Scenario(ScheduleConfig.build(fixture_net, fixture_commodities, 80, 6), 2000, seed),
                 inject if seed >= 8 else None,
             )
         )
@@ -319,7 +319,7 @@ def diamond_sweep():
     records = []
     for V in SWEEP_V:
         for seed in SWEEP_SEEDS:
-            scenario = Scenario.build(net, commodities, V=V, R_max=8, T=SWEEP_T, seed=seed)
+            scenario = Scenario(ScheduleConfig.build(net, commodities, V=V, R_max=8), T=SWEEP_T, seed=seed)
             t0 = time.monotonic()
             result = run(scenario)
             elapsed = time.monotonic() - t0
@@ -330,9 +330,9 @@ def diamond_sweep():
                     "V": V,
                     "seed": seed,
                     "measured": measured,
-                    "B_tilde": scenario.config.params.B_tilde,
+                    "B_tilde": scenario.config.B_tilde,
                     "avg_backlog": sum(result.metrics.backlog) / len(result.metrics.backlog),
-                    "queue_bound": scenario.config.params.queue_bound,
+                    "queue_bound": scenario.config.queue_bound,
                     "elapsed": elapsed,
                 }
             )
@@ -385,7 +385,7 @@ def test_c10_two_node_oracle_exact_and_simulator_converges():
     oracle = oracle_optimal(net, commodities, R_max=10)
     assert oracle.upper - oracle.value <= 1e-9
     assert oracle.rates[("a", "b")] == pytest.approx(5, abs=1e-9)
-    scenario = Scenario.build(net, commodities, V=200, R_max=10, T=100_000, seed=42)
+    scenario = Scenario(ScheduleConfig.build(net, commodities, V=200, R_max=10), T=100_000, seed=42)
     result = run(scenario)
     assert result.drift_ok and result.availability_ok and result.bounds_checked
     delivered = result.metrics.delivered_rate("b", tail=0.8)

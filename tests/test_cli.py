@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from qkdnet import cli
 from qkdnet.graph_core import Network
 from qkdnet.harness import Scenario, run
-from qkdnet.scheduler import LinkParams, StateInvariantError, Utility
+from qkdnet.scheduler import LinkParams, ScheduleConfig, StateInvariantError, Utility
 from qkdnet.security import demo7_network
 
 from helpers import ReferenceCsvObserver, diamond_network, with_link_params
@@ -387,7 +387,7 @@ def test_csv_writer_bytes_equal_the_reference_writer(kind):
         ("c3", "c2"): Utility(kind, 2),
         ("c5", "a"): Utility(kind, 1),
     }
-    scenario = Scenario.build(net, commodities, V=100, R_max=6, T=3000, seed=11)
+    scenario = Scenario(ScheduleConfig.build(net, commodities, V=100, R_max=6), T=3000, seed=11)
     got = _csv_bytes(lambda fh: cli._CsvObserver(fh, scenario.config), scenario)
     want = _csv_bytes(ReferenceCsvObserver, scenario)
     assert got == want
@@ -408,7 +408,7 @@ def test_csv_writer_quotes_labels_like_the_reference_writer():
     )
     net = with_link_params(net, LinkParams(K=3, P_max=3))
     commodities = {("a", "b,x"): Utility("linear", 1), ('m"1', "a"): Utility("linear", 1)}
-    scenario = Scenario.build(net, commodities, V=60, R_max=8, T=1500, seed=3)
+    scenario = Scenario(ScheduleConfig.build(net, commodities, V=60, R_max=8), T=1500, seed=3)
     got = _csv_bytes(lambda fh: cli._CsvObserver(fh, scenario.config), scenario)
     assert got == _csv_bytes(ReferenceCsvObserver, scenario)
     for quoted in (b'"e:e,1"', b'"e:e""2"', b'"q:m""1>a"', b'"q:m,2>b,x"', b',"b,x",'):
@@ -433,9 +433,8 @@ def test_csv_writer_writes_whole_chunks_in_slots_and_the_rest_on_flush():
     the chunk: whole chunks go out during the run, the rest only on flush,
     and the bytes still equal the reference writer's.
     """
-    scenario = Scenario.build(
-        diamond_network(), {("a", "b"): Utility("linear", 1)}, V=60, R_max=8, T=1000, seed=5
-    )
+    cfg = ScheduleConfig.build(diamond_network(), {("a", "b"): Utility("linear", 1)}, V=60, R_max=8)
+    scenario = Scenario(cfg, T=1000, seed=5)
     rows, chunk = 8 * 1000, -(-cli._CSV_CHUNK_ROWS // 8) * 8
     assert rows % chunk
     fh = _CountedWrites()
@@ -489,6 +488,18 @@ def test_dump_config_round_trips(fixture_cfg, capsys):
     reparsed = yaml.safe_load(first)
     assert reparsed == yaml.safe_load(FIXTURE_YAML)
     assert yaml.safe_dump(reparsed, sort_keys=True, default_flow_style=False) == first
+
+
+def test_dump_config_prints_the_file_without_the_flag_overrides(fixture_cfg, capsys):
+    """``--seed`` and ``--v`` change the run, not the dump, and the help says so."""
+    assert cli.main(["simulate", fixture_cfg, "--seed", "99", "--v", "20", "--dump-config"]) == 0
+    out = capsys.readouterr().out
+    assert "seed: 7\n" in out and "  V: 100\n" in out
+    assert yaml.safe_load(out) == yaml.safe_load(FIXTURE_YAML)
+    with pytest.raises(SystemExit):
+        cli.main(["simulate", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "print the config as read, without the flag overrides, and exit" in help_text
 
 
 def test_missing_config_file(capsys):
@@ -580,10 +591,10 @@ def test_non_list_config_attack_is_rejected(tmp_path, capsys, value):
         ("edges.0.params.K", math.inf, "simulate", "K, P_max and delta must be finite"),
         ("edges.0.params.P_max", math.inf, "simulate", "K, P_max and delta must be finite"),
         ("edges.0.params.delta", math.nan, "simulate", "K, P_max and delta must be finite"),
-        ("edges.0.params.K", True, "simulate", "params.K must be a finite number"),
+        ("edges.0.params.K", True, "simulate", "on edge 'k1': K must be a number"),
         ("schedule.commodities.0.w", math.nan, "simulate", "weight must be positive and finite"),
         ("schedule.commodities.0.w", math.inf, "oracle", "weight must be positive and finite"),
-        ("schedule.commodities.0.w", True, "oracle", "w must be a finite number"),
+        ("schedule.commodities.0.w", True, "oracle", "weight must be a number"),
     ],
 )
 def test_malformed_config_shape_exits_1(tmp_path, capsys, dotted, value, command, message):

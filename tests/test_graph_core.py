@@ -118,6 +118,29 @@ def test_paths_match_brute_on_all_small_graphs():
             assert got == list(backtracking_simple_paths(g, "n0", f"n{n - 1}")), (n, mask)
 
 
+def test_paths_avoiding_removed_nodes_match_the_subgraph_on_small_graphs():
+    """Removing nodes up front equals enumerating the graph without them."""
+    for n in (4, 5):
+        for mask in connected_masks(n):
+            g = network_from_mask(n, mask)
+            a, b = "n0", f"n{n - 1}"
+            for gone in ({"n1"}, {"n2"}, {"n1", "n2"}):
+                sub = Network(
+                    tuple(v for v in g.nodes if v not in gone),
+                    tuple(e for e in g.edges if e.u not in gone and e.v not in gone),
+                )
+                want = list(backtracking_simple_paths(sub, a, b))
+                assert list(enumerate_simple_paths(g, a, b, gone)) == want, (n, mask, gone)
+
+
+def test_paths_removing_an_endpoint_or_unknown_node_rejected():
+    g = demo7_network()
+    with pytest.raises(ValueError, match="cannot remove an endpoint"):
+        list(enumerate_simple_paths(g, "a", "b", ["b"]))
+    with pytest.raises(UnknownNodeError):
+        list(enumerate_simple_paths(g, "a", "b", ["zz"]))
+
+
 def test_paths_same_endpoints_rejected():
     g = demo7_network()
     with pytest.raises(ValueError):

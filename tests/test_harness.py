@@ -13,7 +13,7 @@ import pytest
 
 from qkdnet.graph_core import Network
 from qkdnet.harness import _ORACLE_GAP, Metrics, Scenario, oracle_optimal, run, v_sweep
-from qkdnet.scheduler import LinkParams, Utility
+from qkdnet.scheduler import LinkParams, ScheduleConfig, Utility
 from qkdnet.security import demo7_network
 
 from helpers import (
@@ -179,7 +179,7 @@ def test_oracle_three_commodity_log1p_diamond_is_fast():
 # -- runs ------------------------------------------------------------------------
 
 def test_zero_horizon_run():
-    s = Scenario.build(two_node_network(), {("a", "b"): LIN}, V=50, R_max=10, T=0, seed=1)
+    s = Scenario(ScheduleConfig.build(two_node_network(), {("a", "b"): LIN}, V=50, R_max=10), T=0, seed=1)
     r = run(s)
     assert r.drift_ok and r.availability_ok and r.bounds_checked
     assert len(r.metrics.backlog) == 0
@@ -190,11 +190,11 @@ def test_zero_horizon_run():
 
 def test_negative_horizon_rejected():
     with pytest.raises(ValueError):
-        Scenario.build(two_node_network(), {("a", "b"): LIN}, V=50, R_max=10, T=-1, seed=1)
+        Scenario(ScheduleConfig.build(two_node_network(), {("a", "b"): LIN}, V=50, R_max=10), T=-1, seed=1)
 
 
 def test_run_is_deterministic():
-    s = Scenario.build(diamond_network(), {("a", "b"): LIN}, V=80, R_max=8, T=3000, seed=12)
+    s = Scenario(ScheduleConfig.build(diamond_network(), {("a", "b"): LIN}, V=80, R_max=8), T=3000, seed=12)
     r1, r2 = run(s), run(s)
     assert r1.metrics.admitted[("a", "b")] == r2.metrics.admitted[("a", "b")]
     assert r1.metrics.backlog == r2.metrics.backlog
@@ -203,7 +203,8 @@ def test_run_is_deterministic():
 
 
 def test_delivered_converges_to_oracle_two_node():
-    s = Scenario.build(two_node_network(K=5, P_max=5), {("a", "b"): LIN}, V=200, R_max=10, T=30_000, seed=3)
+    cfg = ScheduleConfig.build(two_node_network(K=5, P_max=5), {("a", "b"): LIN}, V=200, R_max=10)
+    s = Scenario(cfg, T=30_000, seed=3)
     r = run(s)
     assert r.drift_ok and r.availability_ok and r.bounds_checked
     assert r.metrics.delivered_rate("b") == pytest.approx(5, abs=0.1)
@@ -211,14 +212,14 @@ def test_delivered_converges_to_oracle_two_node():
 
 
 def test_observer_sees_every_slot_in_order():
-    s = Scenario.build(two_node_network(), {("a", "b"): LIN}, V=50, R_max=10, T=200, seed=5)
+    s = Scenario(ScheduleConfig.build(two_node_network(), {("a", "b"): LIN}, V=50, R_max=10), T=200, seed=5)
     slots = []
     run(s, observer=lambda t, state, decision, audit: slots.append((t, state.t)))
     assert slots == [(t, t) for t in range(200)]
 
 
 def test_injection_counted_and_audited():
-    s = Scenario.build(diamond_network(), {("a", "b"): LIN}, V=60, R_max=8, T=1500, seed=8)
+    s = Scenario(ScheduleConfig.build(diamond_network(), {("a", "b"): LIN}, V=60, R_max=8), T=1500, seed=8)
 
     def inject(state, cfg, rng, t):
         if 400 <= t < 500:
@@ -258,14 +259,14 @@ def _c05_scenario(T):
     K = {"k1": 4, "k2": 3, "k3": 5, "k4": 2, "k5": 4, "k6": 3, "k7": 2, "k8": 5, "k9": 4}
     net = with_link_params(demo7_network(), {eid: LinkParams(K=k, P_max=5) for eid, k in K.items()})
     commodities = {("a", "b"): LIN, ("c3", "c2"): Utility("linear", 2), ("c5", "a"): LIN}
-    return Scenario.build(net, commodities, V=100, R_max=6, T=T, seed=11)
+    return Scenario(ScheduleConfig.build(net, commodities, V=100, R_max=6), T=T, seed=11)
 
 
 @pytest.mark.parametrize(
     "make_scenario,exact",
     [
         (lambda: _c05_scenario(T=5000), True),
-        (lambda: Scenario.build(diamond_network(), {("a", "b"): LOG}, V=150, R_max=8, T=4000, seed=4), False),
+        (lambda: Scenario(ScheduleConfig.build(diamond_network(), {("a", "b"): LOG}, V=150, R_max=8), 4000, 4), False),
     ],
     ids=["c05-exact", "diamond-log1p"],
 )

@@ -10,9 +10,9 @@ from hypothesis import given, strategies as st
 from qkdnet.graph_core import Network
 from qkdnet.harness import Scenario, run
 from qkdnet.scheduler import (
-    ControlParams,
     LinkParams,
     ScheduleConfig,
+    ServedFlow,
     StateInvariantError,
     StepDecision,
     Utility,
@@ -58,16 +58,18 @@ def fixture_config(V=100, R_max=6, tie_mode="random"):
 # -- parameter derivation -----------------------------------------------------
 
 def test_control_params_two_node():
+    """Two nodes, one edge of K = P_max = 5: d_max = 1 and mu_max = 5."""
     cfg = ScheduleConfig.build(two_node_network(), {("a", "b"): Utility("linear", 1)}, 200, 10)
-    p = cfg.params
-    assert p.beta == 1
-    assert p.mu_max == 5
-    assert p.d_max == 1
-    assert p.gamma == 10 + 1 * 5
-    assert p.theta == {"e1": 1 * 1 * 200 + 5}
-    assert p.queue_bound == 210
-    assert p.store_bound("e1") == 205 + 5
-    assert p.exact
+    d_max, mu_max, n, m = 1, 5, 2, 1
+    assert cfg.beta == 1
+    assert cfg.gamma == 10 + d_max * mu_max
+    assert cfg.theta == {"e1": 1 * 1 * 200 + 5}
+    assert cfg.queue_bound == 210
+    assert cfg.store_bound("e1") == 205 + 5
+    B2 = n * n * (3 * d_max**2 * mu_max**2 + 2 * 10**2) + m * (5 + 5) ** 2
+    assert cfg.B2 == B2
+    assert cfg.B_tilde == B2 / 2 + n * n * (10 + d_max * mu_max) * d_max * mu_max
+    assert cfg.exact
 
 
 def test_control_params_beta_is_max_marginal():
@@ -75,42 +77,46 @@ def test_control_params_beta_is_max_marginal():
     cfg = ScheduleConfig.build(
         net, {("a", "b"): Utility("linear", 1), ("m1", "m2"): Utility("linear", 3)}, 10, 4
     )
-    assert cfg.params.beta == 3
-    assert cfg.params.theta["e1"] == 3 * 10 + 3
+    assert cfg.beta == 3
+    assert cfg.theta["e1"] == 3 * 10 + 3
 
 
 def test_drift_constant_components():
+    """B2, B_tilde and gamma against components counted off the network."""
     cfg = ScheduleConfig.build(diamond_network(), {("a", "b"): Utility("linear", 1)}, 100, 8)
-    p = cfg.params
-    n, m = len(cfg.network.nodes), len(cfg.network.edges)
+    net = cfg.network
+    n, m = len(net.nodes), len(net.edges)
     assert (n, m) == (4, 4)
-    P_cap = max(e.link_params.P_max for e in cfg.network.edges)
-    assert p.B == n * n * (1.5 * p.d_max**2 * p.mu_max**2 + p.R_max**2) + m / 2 * (
-        P_cap + p.K_max
-    ) ** 2
-    assert p.B_tilde == p.B + n * n * p.gamma * p.d_max * p.mu_max
+    d_max = max(sum(v in (e.u, e.v) for e in net.edges) for v in net.nodes)
+    mu_max = max(e.link_params.P_max for e in net.edges)  # one-time pad: rate = keys spent
+    P_cap = max(e.link_params.P_max for e in net.edges)
+    K_max = max(e.link_params.K for e in net.edges)
+    assert cfg.gamma == 8 + d_max * mu_max
+    B = n * n * (1.5 * d_max**2 * mu_max**2 + 8**2) + m / 2 * (P_cap + K_max) ** 2
+    assert cfg.B2 == 2 * B and type(cfg.B2) is int
+    assert cfg.B_tilde == B + n * n * cfg.gamma * d_max * mu_max
 
 
 def test_exact_mode_detection():
     net = diamond_network()
-    assert ScheduleConfig.build(net, {("a", "b"): Utility("linear", 1)}, 10, 4).params.exact
-    assert not ScheduleConfig.build(net, {("a", "b"): Utility("log1p", 1)}, 10, 4).params.exact
+    assert ScheduleConfig.build(net, {("a", "b"): Utility("linear", 1)}, 10, 4).exact
+    assert not ScheduleConfig.build(net, {("a", "b"): Utility("log1p", 1)}, 10, 4).exact
     fl = with_link_params(demo7_network(), LinkParams(K=2.5, P_max=5))
-    assert not ScheduleConfig.build(fl, {("a", "b"): Utility("linear", 1)}, 10, 4).params.exact
+    assert not ScheduleConfig.build(fl, {("a", "b"): Utility("linear", 1)}, 10, 4).exact
 
 
 def test_derive_rejects_missing_link_params():
     net = demo7_network()  # no link params attached
     with pytest.raises(ValueError):
-        ControlParams.derive(net, {("a", "b"): Utility("linear", 1)}, 10, 4)
+        ScheduleConfig.build(net, {("a", "b"): Utility("linear", 1)}, 10, 4)
 
 
 def test_derive_rejects_bad_inputs():
     net = two_node_network()
     with pytest.raises(ValueError):
-        ControlParams.derive(net, {}, 10, 4)
+        ScheduleConfig.build(net, {}, 10, 4)
     with pytest.raises(ValueError):
-        ControlParams.derive(net, {("a", "b"): Utility("linear", 1)}, 0, 4)
+        ScheduleConfig.build(net, {("a", "b"): Utility("linear", 1)}, 0, 4)
 
 
 @pytest.mark.parametrize("key", ["V", "R_max"])
@@ -141,6 +147,21 @@ def test_link_params_validation():
         LinkParams(K=3, P_max=3, mu_of_P=lambda p: p + 1)  # mu(0) != 0
     with pytest.raises(ValueError):
         LinkParams(K=3, P_max=3, delta=1, mu_of_P=lambda p: 5 * p)
+
+
+@pytest.mark.parametrize("field", ["K", "P_max", "delta"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_link_params_reject_a_boolean(field, flag):
+    """A bool is an int to Python, and True would count as an exact 1."""
+    values = {"K": 5, "P_max": 5, field: flag}
+    with pytest.raises(ValueError, match=f"{field} must be a number, got {flag}"):
+        LinkParams(**values)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_utility_rejects_a_boolean_weight(flag):
+    with pytest.raises(ValueError, match=f"utility weight must be a number, got {flag}"):
+        Utility("linear", flag)
 
 
 def test_utility_validation():
@@ -209,10 +230,10 @@ def test_edge_weights_example():
         Network.from_links([("e1", "c", "a")]), LinkParams(K=1, P_max=1)
     )
     cfg = ScheduleConfig.build(net, {("a", "c"): Utility("linear", 1)}, 2, 3)
-    assert cfg.params.gamma == 4
+    assert cfg.gamma == 4
     st0 = initial_state(cfg)
     st0.Q[("a", "c")] = 10
-    weights = edge_weights(net.edges[0], st0.Q, cfg.dests, cfg.params.gamma)
+    weights = edge_weights(net.edges[0], st0.Q, cfg.dests, cfg.gamma)
     # candidate order: the lower label sends first, whatever the edge's u/v
     assert list(weights) == [("a", "c", "c"), ("c", "a", "c")]
     assert weights[("a", "c", "c")] == 6  # 10 - 0 - 4
@@ -260,7 +281,7 @@ def test_certified_bounds_hold_fixture_run():
     cfg = fixture_config()
     state = initial_state(cfg)
     rng = Random(9)
-    q_hi = cfg.params.queue_bound
+    q_hi = cfg.queue_bound
     for _ in range(4000):
         state, decision, audit = step(state, cfg, rng)
         assert audit.bounds_checked
@@ -270,7 +291,7 @@ def test_certified_bounds_hold_fixture_run():
             if node == dest:
                 assert q == 0
         for eid, e in state.E.items():
-            assert 0 <= e <= cfg.params.store_bound(eid)
+            assert 0 <= e <= cfg.store_bound(eid)
 
 
 def test_actual_transfers_match_nominal_on_controller_steps():
@@ -297,26 +318,24 @@ def test_drift_audit_controller_and_injected():
     state = initial_state(cfg)
     rng = Random(21)
     for t in range(2500):
-        prev = state
         if t % 5 == 2:
             decision = random_feasible_decision(state, cfg, rng)
             state, decision, audit = step(state, cfg, rng, decision=decision)
         else:
             state, decision, audit = step(state, cfg, rng)
-        da = drift_audit(prev, decision, state, cfg)
+        da = drift_audit(decision, cfg)
         assert da.ok, (t, da.slack)
 
 
 def test_drift_audit_float_mode():
     net = diamond_network()
     cfg = ScheduleConfig.build(net, {("a", "b"): Utility("log1p", 2)}, 100, 8)
-    assert not cfg.params.exact
+    assert not cfg.exact
     state = initial_state(cfg)
     rng = Random(2)
     for _ in range(1500):
-        prev = state
         state, decision, audit = step(state, cfg, rng)
-        da = drift_audit(prev, decision, state, cfg)
+        da = drift_audit(decision, cfg)
         assert da.ok
 
 
@@ -330,7 +349,7 @@ def test_injected_decisions_respect_feasibility():
         for eid, p in decision.P.items():
             assert 0 <= p <= min(P_max[eid], state.E[eid])
         for r in decision.R.values():
-            assert 0 <= r <= cfg.params.R_max
+            assert 0 <= r <= cfg.R_max
         state, decision, audit = step(state, cfg, rng, decision=decision)
         assert not audit.bounds_checked
         for e in state.E.values():
@@ -338,14 +357,16 @@ def test_injected_decisions_respect_feasibility():
 
 
 def test_injected_overdraw_is_refused():
+    """A decision passed to ``step`` is injected, with no flag to set: one
+
+    that spends 5 keys from an empty store raises and leaves the store at 0.
+    """
     cfg = ScheduleConfig.build(two_node_network(), {("a", "b"): Utility("linear", 1)}, 200, 10)
     state = initial_state(cfg)
-    decision = random_feasible_decision(state, cfg, Random(0))
-    bad = type(decision)(
-        S=decision.S, R=decision.R, P={"e1": 1}, served={}, injected=True
-    )
-    with pytest.raises(ValueError):
-        step(state, cfg, Random(0), decision=bad)
+    overdraw = StepDecision(S={"e1": 0}, R={}, P={"e1": 5}, served={})
+    with pytest.raises(ValueError, match="overdraws key store on edge 'e1'"):
+        step(state, cfg, Random(0), decision=overdraw)
+    assert state.E == {"e1": 0}
 
 
 def test_dest_queue_pinned_zero():
@@ -361,22 +382,22 @@ def test_dest_queue_pinned_zero():
 def test_within_certified_bounds_flags_contamination():
     cfg = fixture_config()
     state = initial_state(cfg)
-    assert _bounds_violation(state, cfg.params) is None
-    state.Q[("a", "b")] = cfg.params.queue_bound + 1
-    assert _bounds_violation(state, cfg.params) is not None
+    assert _bounds_violation(state, cfg) is None
+    state.Q[("a", "b")] = cfg.queue_bound + 1
+    assert _bounds_violation(state, cfg) is not None
 
 
 def test_bounds_violation_names_slot_entity_value_and_bound():
     cfg = fixture_config()
     state = initial_state(cfg)
     state.t = 12
-    assert _bounds_violation(state, cfg.params) is None
+    assert _bounds_violation(state, cfg) is None
     state.E["k3"] = 211
-    assert _bounds_violation(state, cfg.params) == "key store k3 = 211 outside [0, 210] entering slot 12"
+    assert _bounds_violation(state, cfg) == "key store k3 = 211 outside [0, 210] entering slot 12"
     state.Q[("c1", "b")] = -1
-    assert _bounds_violation(state, cfg.params) == "queue (c1,b) = -1 outside [0, 206] entering slot 12"
+    assert _bounds_violation(state, cfg) == "queue (c1,b) = -1 outside [0, 206] entering slot 12"
     state.Q[("b", "b")] = 3
-    assert _bounds_violation(state, cfg.params) == "destination queue (b,b) = 3, not 0, entering slot 12"
+    assert _bounds_violation(state, cfg) == "destination queue (b,b) = 3, not 0, entering slot 12"
 
 
 def _unequal_store_config(kind):
@@ -410,18 +431,17 @@ def test_bounds_check_matches_an_entity_walk_on_unequal_store_bounds(kind):
     inside its 1e-12 rounding allowance still passes.
     """
     cfg = _unequal_store_config(kind)
-    params = cfg.params
-    assert params.exact == (kind == "linear")
-    bounds = {eid: params.store_bound(eid) for eid in params.theta}
+    assert cfg.exact == (kind == "linear")
+    bounds = {eid: cfg.store_bound(eid) for eid in cfg.theta}
     assert len(set(bounds.values())) > 2
-    q_hi = params.queue_bound
+    q_hi = cfg.queue_bound
     rng = Random(kind)
 
     def draw(hi):
-        return rng.randint(0, hi) if params.exact else rng.uniform(0, hi)
+        return rng.randint(0, hi) if cfg.exact else rng.uniform(0, hi)
 
     def past(bound, up):
-        if params.exact:
+        if cfg.exact:
             return bound + 1 if up else -1
         return bound + 1e-9 * bound if up else -1e-9 * bound
 
@@ -435,7 +455,7 @@ def test_bounds_check_matches_an_entity_walk_on_unequal_store_bounds(kind):
             state.E[eid] = draw(bounds[eid])
         inside = i % 2 == 0
         if inside:
-            if not params.exact:
+            if not cfg.exact:
                 eid = rng.choice(list(bounds))
                 state.E[eid] = bounds[eid] + 0.5e-12 * bounds[eid]
             above_smallest += max(state.E.values()) > min(bounds.values())
@@ -449,11 +469,11 @@ def test_bounds_check_matches_an_entity_walk_on_unequal_store_bounds(kind):
             else:
                 eid = rng.choice(list(bounds))
                 state.E[eid] = past(bounds[eid], what == 3)
-        want = walk_bounds_violation(state, params)
+        want = walk_bounds_violation(state, cfg)
         assert (want is None) == inside, (i, want)
         if inside:
             state.Q = _NoWalk(state.Q)
-        assert _bounds_violation(state, params) == want, i
+        assert _bounds_violation(state, cfg) == want, i
     assert above_smallest > 100
 
 
@@ -465,9 +485,9 @@ def test_one_bounds_scan_per_slot(monkeypatch):
     real = scheduler._bounds_violation
     scanned = []
 
-    def counted(state, params):
+    def counted(state, cfg):
         scanned.append(state.t)
-        return real(state, params)
+        return real(state, cfg)
 
     monkeypatch.setattr(scheduler, "_bounds_violation", counted)
     cfg = fixture_config()
@@ -485,24 +505,40 @@ def test_one_bounds_scan_per_slot(monkeypatch):
         decision = random_feasible_decision(state, cfg, rng) if t % 10 in (3, 4, 5) else None
         state, _, _ = step(state, cfg, rng, decision=decision)
         assert scanned.count(t + 1) <= 1
-        assert state.certified == (real(state, cfg.params) is None)
+        assert state.certified == (real(state, cfg) is None)
         uncertified += not state.certified
     assert len(scanned) <= 1000 and uncertified > 0
 
 
-def test_controller_step_short_of_nominal_fails_the_drift_audit():
+def test_controller_step_short_of_nominal_raises(monkeypatch):
+    """A controller flow always moves its nominal rate, so ``step`` raises
+
+    when one moves less. The patched controller asks one flow for more than
+    all queues hold together; a passed-in decision may run short.
+    """
     cfg = fixture_config()
     state = initial_state(cfg)
     rng = Random(3)
-    for _ in range(50):
-        prev = state
-        state, decision, _ = step(state, cfg, rng)
-    eid, flow = next(iter(decision.served.items()))
-    short = dict(decision.served)
-    short[eid] = type(flow)(flow.src, flow.dst, flow.dest, flow.nominal, flow.nominal - 1)
-    bad = type(decision)(S=decision.S, R=decision.R, P=decision.P, served=short)
-    with pytest.raises(StateInvariantError, match=f"edge {eid} at slot 49"):
-        drift_audit(prev, bad, state, cfg)
+    for _ in range(49):
+        state, _, _ = step(state, cfg, rng)
+    real = scheduler._controller_decision
+    asked = []
+
+    def overasking(state, cfg, rng):
+        decision = real(state, cfg, rng)
+        eid, flow = next(iter(decision.served.items()))
+        more = sum(state.Q.values()) + 1
+        asked.append(eid)
+        served = {**decision.served, eid: ServedFlow(flow.src, flow.dst, flow.dest, more, more)}
+        return StepDecision(S=decision.S, R=decision.R, P=decision.P, served=served)
+
+    injected = overasking(state, cfg, Random(3))
+    _, moved, _ = step(state, cfg, Random(3), decision=injected)
+    assert moved.served[asked[0]].actual < moved.served[asked[0]].nominal
+    monkeypatch.setattr(scheduler, "_controller_decision", overasking)
+    with pytest.raises(StateInvariantError, match="of nominal") as failure:
+        step(state, cfg, rng)
+    assert str(failure.value).endswith(f"on edge {asked[-1]} at slot 49")
 
 
 def test_trajectories_deterministic_per_seed():
@@ -534,16 +570,15 @@ def test_drift_audit_fails_an_admission_outside_the_box(name, make_cfg):
     its replay referee and the run's ``drift_ok`` all report the failure.
     """
     cfg = make_cfg()
-    params = cfg.params
     pair = cfg.pairs[0]
-    over = math.isqrt(int(params.B2)) + 1
-    assert over > params.R_max
+    over = math.isqrt(int(cfg.B2)) + 1
+    assert over > cfg.R_max
 
     def outside_the_box(state, cfg, rng, t):
         if t != 40:
             return None
         no_keys = dict.fromkeys(state.E, 0)
-        return StepDecision(S=no_keys, R={pair: over}, P=no_keys, served={}, injected=True)
+        return StepDecision(S=no_keys, R={pair: over}, P=no_keys, served={})
 
     rng = Random(8)
     state = initial_state(cfg)
@@ -551,11 +586,11 @@ def test_drift_audit_fails_an_admission_outside_the_box(name, make_cfg):
         state, _, _ = step(state, cfg, rng)
     decision = outside_the_box(state, cfg, rng, 40)
     new_state, decision, _ = step(state, cfg, rng, decision=decision)
-    got = drift_audit(state, decision, new_state, cfg)
-    want = replay_drift_audit(state, decision, new_state, cfg)
+    got = drift_audit(decision, cfg)
+    want = replay_drift_audit(state, decision, new_state, cfg, injected=True)
     assert not got.ok and not want.ok
-    assert got.slack == params.B2 - over * over < 0
-    assert abs(got.slack - want.slack) <= 1e-12 * params.B2
+    assert got.slack == cfg.B2 - over * over < 0
+    assert abs(got.slack - want.slack) <= 1e-12 * cfg.B2
 
     result = run(Scenario(cfg, 100, 8), inject=outside_the_box)
     assert result.injected_slots == 1 and not result.drift_ok
@@ -586,12 +621,12 @@ def test_drift_audit_holds_for_random_states_and_actions(seed):
     state = initial_state(cfg)
     for key in state.Q:
         node, dest = key
-        state.Q[key] = 0 if node == dest else rng.randint(0, cfg.params.queue_bound)
+        state.Q[key] = 0 if node == dest else rng.randint(0, cfg.queue_bound)
     for eid in state.E:
-        state.E[eid] = rng.randint(0, cfg.params.store_bound(eid))
+        state.E[eid] = rng.randint(0, cfg.store_bound(eid))
     decision = random_feasible_decision(state, cfg, rng)
     new_state, decision, _ = step(state, cfg, rng, decision=decision)
-    da = drift_audit(state, decision, new_state, cfg)
+    da = drift_audit(decision, cfg)
     assert da.ok, da.slack
 
 
@@ -626,22 +661,22 @@ def test_drift_audit_matches_replay_referee(name, make_cfg, T):
     audit's own float tolerance.
     """
     cfg = make_cfg()
-    assert cfg.params.exact == ("log1p" not in name)
+    assert cfg.exact == ("log1p" not in name)
     state = initial_state(cfg)
     rng = Random(sum(map(ord, name)))
     injected = short = 0
     for t in range(T):
         prev = state
         decision = random_feasible_decision(state, cfg, rng) if t % 10 in (3, 4, 5) else None
+        injected += decision is not None
         state, decision, _ = step(state, cfg, rng, decision=decision)
-        got = drift_audit(prev, decision, state, cfg)
-        want = replay_drift_audit(prev, decision, state, cfg)
+        got = drift_audit(decision, cfg)
+        want = replay_drift_audit(prev, decision, state, cfg, injected=t % 10 in (3, 4, 5))
         assert got.ok == want.ok, t
-        if cfg.params.exact:
+        if cfg.exact:
             assert got.slack == want.slack and type(got.slack) is int, t
         else:
-            assert abs(got.slack - want.slack) <= 1e-12 * cfg.params.B2, (t, got.slack, want.slack)
-        injected += decision.injected
+            assert abs(got.slack - want.slack) <= 1e-12 * cfg.B2, (t, got.slack, want.slack)
         short += any(f.actual != f.nominal for f in decision.served.values())
     assert injected == 3 * T // 10 and short > 0
 
@@ -773,16 +808,15 @@ def test_fused_decision_matches_reference_on_float_ties():
         make_net, make_commodities, V, R_max, _ = DECISION_NETWORKS[net]
         for tie_mode in ("random", "lexicographic"):
             cfg = ScheduleConfig.build(make_net(), make_commodities(kind), V, R_max, tie_mode=tie_mode)
-            params = cfg.params
             rng = Random(net + kind + tie_mode)
             draws = 0
             for i in range(200):
                 state = initial_state(cfg)
                 for node, dest in state.Q:
-                    state.Q[(node, dest)] = 0.0 if node == dest else rng.uniform(0, params.queue_bound)
-                x = params.gamma + rng.uniform(1, 50)
+                    state.Q[(node, dest)] = 0.0 if node == dest else rng.uniform(0, cfg.queue_bound)
+                x = cfg.gamma + rng.uniform(1, 50)
                 state.Q[("a", "b")], state.Q[("m1", "b")], state.Q[("m1", "a")] = 2 * x, x, x
-                state.E.update(params.theta)
+                state.E.update(cfg.theta)
                 before = rng.getstate()
                 referee_rng = Random()
                 referee_rng.setstate(before)
