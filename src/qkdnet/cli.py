@@ -320,7 +320,7 @@ class _CsvObserver:
 
     Q and E are observed at slot start; R, S, P and the served columns are
     that slot's decision. served-b is the destination the edge served. Rows
-    follow the plan's queue keys and edge ids, which are sorted: nodes,
+    follow the config's queue keys and edge ids, which are sorted: nodes,
     destinations and edge ids all are. Labels are quoted once, each
     row is one f-string, and rows go to the file in chunks of at least
     ``_CSV_CHUNK_ROWS``, written inside the slot call that completes one.
@@ -334,12 +334,11 @@ class _CsvObserver:
     def __init__(self, fh, cfg) -> None:
         self.fh = fh
         fh.write(",".join(map(_csv_field, self.HEADER)) + "\r\n")
-        plan = cfg.plan
         # each label comes with the commas around it: the empty Q column
         # after an edge label included
-        self.queues = [(key, f",{_csv_field(f'q:{key[0]}>{key[1]}')},") for key in plan.queues]
+        self.queues = [(key, f",{_csv_field(f'q:{key[0]}>{key[1]}')},") for key in cfg.queues]
         self.row_of = {key: i for i, (key, _) in enumerate(self.queues)}
-        self.stores = [(eid, f",{_csv_field(f'e:{eid}')},,") for eid in plan.eids]
+        self.stores = [(eid, f",{_csv_field(f'e:{eid}')},,") for eid in cfg.eids]
         self.dests = {dest: _csv_field(dest) for dest in cfg.dests}
         self.rows: list[str] = []
 

@@ -28,6 +28,7 @@ from .scheduler import (
     StepDecision,
     Utility,
     _check_problem,
+    _require_number,
     drift_audit,
     initial_state,
     step,
@@ -67,6 +68,7 @@ class Scenario:
     seed: int
 
     def __post_init__(self) -> None:
+        _require_number(self.T, "horizon", integer=True)
         if self.T < 0:
             raise ValueError("horizon must be non-negative")
 
@@ -108,7 +110,6 @@ class Metrics:
 
 @dataclass(frozen=True)
 class RunResult:
-    scenario: Scenario
     final_state: NetworkState
     metrics: Metrics
     drift_ok: bool
@@ -163,7 +164,6 @@ def run(
         backlog=tuple(backlog),
     )
     return RunResult(
-        scenario=scenario,
         final_state=state,
         metrics=metrics,
         drift_ok=drift_ok,

@@ -1,8 +1,10 @@
 """Joint key-management and data-scheduling controller for keyed networks.
 
 Each edge holds a key store that one-time-pad encryption drains and on-slot
-key generation refills; each node holds per-destination data queues. Every
-slot the controller, knowing only the current queues and key stores:
+key generation refills; each node holds per-destination data queues, and
+``ScheduleConfig.build`` derives once every constant and per-edge column a
+slot reads. Every slot the controller, knowing only the current queues and
+key stores:
 
 1. turns key generation on wherever the store sits below its target level,
 2. admits new data per commodity by weighing utility gain against backlog,
@@ -26,8 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
-from operator import add, le, mul, sub
+from operator import add, index, le, mul, sub
 from random import Random
 from typing import Callable, Mapping
 
@@ -61,14 +62,22 @@ class StateInvariantError(RuntimeError):
     """A certified state bound failed. This must never fire."""
 
 
-def _reject_bool(x: object, name: str) -> None:
-    """A bool is an int to Python, and would pass as the exact integer 0 or 1."""
-    if isinstance(x, bool):
-        raise ValueError(f"{name} must be a number, got {x!r}")
+def _require_number(x: object, name: str, integer: bool = False) -> None:
+    """``x`` must be a real number as ``math.isfinite`` takes one, or with
+
+    ``integer`` an integer as ``range`` takes one. A bool is an int to
+    Python, and would pass as the exact integer 0 or 1, so it is refused.
+    """
+    try:
+        if isinstance(x, bool):
+            raise TypeError
+        index(x) if integer else math.isfinite(x)
+    except TypeError:
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {x!r}") from None
 
 
 def _require_positive_finite(x: Num, name: str) -> None:
-    _reject_bool(x, name)
+    _require_number(x, name)
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"{name} must be positive and finite, got {x!r}")
 
@@ -91,7 +100,7 @@ class LinkParams:
 
     def __post_init__(self) -> None:
         for name in ("K", "P_max", "delta"):
-            _reject_bool(getattr(self, name), name)
+            _require_number(getattr(self, name), name)
         if not all(math.isfinite(x) for x in (self.K, self.P_max, self.delta)):
             raise ValueError("K, P_max and delta must be finite")
         if self.K < 0 or self.P_max < 0:
@@ -157,16 +166,30 @@ def _check_problem(
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    """A network with link parameters, the commodity set, and the constants
+    """A network with link parameters, the commodity set, and everything
 
-    the controller and its audits run on, derived once by ``build``.
+    the controller, its audits and a run read, derived once by ``build``.
     ``theta`` is the per-edge key-store target ``delta*beta*V + P_max``;
     ``gamma`` the scheduling margin ``R_max + d_max*mu_max``; ``B2`` twice
     the drift constant ``B``, the form the drift audit compares in, and an
     integer in exact mode; ``B_tilde`` the utility-gap constant. ``exact``
     marks runs whose quantities are all integers, enabling exact audits.
     ``dests`` are the commodity destinations in label order; a node's queue
-    for itself as destination must stay empty.
+    for itself as destination must stay empty. ``pairs`` are the
+    commodities in label order, and ``queue_bound`` is ``beta*V + R_max``.
+
+    ``queues`` are the queue keys, node by node and then in ``dests`` order.
+    Every state of a run keys its queues by these very tuples, and ``edges``
+    and ``utilities`` hold the same objects, so lookups hit by identity.
+    ``eids``, ``K`` and each store's range ``[store_lo, store_hi]`` (``[0,
+    theta + K_max]``, widened in float mode by ``_FLOAT_RTOL`` of the bound)
+    follow network edge order, and so does ``edges``: per edge its id,
+    ``P_max``, ``theta``, its link parameters if it has a rate function
+    (None for a one-time-pad link) and one lane per destination in ``dests``
+    order. A lane holds the lower and the higher label's queue key and the
+    two flows over the edge at ``P_max``, the rate a one-time-pad link
+    always serves at: lower to higher label, then back. ``utilities`` holds
+    (pair, utility, ``V * w`` if linear else None) in ``pairs`` order.
     """
 
     network: Network
@@ -182,6 +205,15 @@ class ScheduleConfig:
     B_tilde: float
     exact: bool
     dests: tuple[str, ...]
+    pairs: tuple[tuple[str, str], ...]
+    queue_bound: Num
+    queues: tuple[tuple[str, str], ...]
+    eids: tuple[str, ...]
+    K: tuple[Num, ...]
+    store_lo: tuple[Num, ...]
+    store_hi: tuple[Num, ...]
+    edges: tuple[tuple[str, Num, Num, LinkParams | None, tuple], ...]
+    utilities: tuple[tuple[tuple[str, str], Utility, Num | None], ...]
 
     @classmethod
     def build(
@@ -212,6 +244,27 @@ class ScheduleConfig:
             and all(lp.mu_of_P is None for lp in links.values())
             and all(isinstance(lp.K, int) and isinstance(lp.P_max, int) for lp in links.values())
         )
+
+        dests = tuple(sorted({dst for _, dst in commodities}))
+        pairs = tuple(sorted(commodities))
+        key = {(v, dest): (v, dest) for v in network.nodes for dest in dests}
+        edges = []
+        for e in network.edges:
+            lp = links[e.id]
+            lo, hi = (e.u, e.v) if e.u < e.v else (e.v, e.u)
+            lanes = tuple(
+                (
+                    key[(lo, dest)],
+                    key[(hi, dest)],
+                    ServedFlow(lo, hi, dest, lp.P_max, lp.P_max),
+                    ServedFlow(hi, lo, dest, lp.P_max, lp.P_max),
+                )
+                for dest in dests
+            )
+            rated = None if lp.mu_of_P is None else lp
+            edges.append((e.id, lp.P_max, theta[e.id], rated, lanes))
+        tol = 0 if exact else _FLOAT_RTOL  # float mode widens each store range by its rounding tolerance
+        bounds = [t + K_max for t in theta.values()]
         return cls(
             network=network,
             commodities=dict(commodities),
@@ -225,36 +278,22 @@ class ScheduleConfig:
             B2=B2,
             B_tilde=B2 / 2 + n * n * gamma * d_max * mu_max,
             exact=exact,
-            dests=tuple(sorted({dst for _, dst in commodities})),
+            dests=dests,
+            pairs=pairs,
+            queue_bound=beta * V + R_max,
+            queues=tuple(key),
+            eids=tuple(links),
+            K=tuple(lp.K for lp in links.values()),
+            store_lo=tuple(-tol * b for b in bounds),
+            store_hi=tuple(b + tol * b for b in bounds),
+            edges=tuple(edges),
+            utilities=tuple(
+                (key[pair], u, V * u.w if u.kind == "linear" else None) for pair, u in sorted(commodities.items())
+            ),
         )
-
-    @property
-    def queue_bound(self) -> Num:
-        return self.beta * self.V + self.R_max
 
     def store_bound(self, edge_id: str) -> Num:
         return self.theta[edge_id] + self.K_max
-
-    @cached_property
-    def _store_limits(self) -> tuple[tuple[str, ...], tuple[Num, ...], tuple[Num, ...]]:
-        """Edge ids in network order, and each store's lowest and highest
-
-        allowed value: ``[0, theta + K_max]`` widened in float mode by its
-        rounding tolerance.
-        """
-        eids = tuple(self.theta)
-        bounds = tuple(map(self.store_bound, eids))
-        if self.exact:
-            return eids, (0,) * len(eids), bounds
-        return eids, tuple(-_FLOAT_RTOL * b for b in bounds), tuple(b + _FLOAT_RTOL * b for b in bounds)
-
-    @cached_property
-    def pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(self.commodities))
-
-    @cached_property
-    def plan(self) -> "_Plan":
-        return _Plan.compile(self)
 
 
 @dataclass
@@ -304,65 +343,9 @@ class SlotAudit:
     bounds_checked: bool
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """A config compiled once for the slot loop.
-
-    ``queues`` are the queue keys in the initial state's order. Every state
-    of a run keys its queues by these very tuples, and the plan looks them
-    up by the same objects. ``eids`` and ``K`` run in network edge order.
-    ``edges`` holds, per edge in that order: its id, ``P_max``,
-    ``theta``, its link parameters when it has a rate function (None for a
-    one-time-pad link), and one lane per destination in ``dests`` order. A
-    lane holds the lower and the higher label's queue key for that
-    destination and the two flows over the edge at ``P_max``, the rate a
-    one-time-pad link always serves at: lower to higher label, then back.
-    ``utilities`` holds (pair, utility, ``V * w`` for a linear utility else
-    None) in ``pairs`` order.
-    """
-
-    queues: tuple[tuple[str, str], ...]
-    eids: tuple[str, ...]
-    K: tuple[Num, ...]
-    edges: tuple[tuple[str, Num, Num, LinkParams | None, tuple], ...]
-    utilities: tuple[tuple[tuple[str, str], Utility, Num | None], ...]
-
-    @classmethod
-    def compile(cls, cfg: ScheduleConfig) -> "_Plan":
-        V, theta = cfg.V, cfg.theta
-        key = {(v, dest): (v, dest) for v in cfg.network.nodes for dest in cfg.dests}
-        links = cfg.network.edges
-        edges = []
-        for e in links:
-            lp = e.link_params
-            lo, hi = (e.u, e.v) if e.u < e.v else (e.v, e.u)
-            lanes = tuple(
-                (
-                    key[(lo, dest)],
-                    key[(hi, dest)],
-                    ServedFlow(lo, hi, dest, lp.P_max, lp.P_max),
-                    ServedFlow(hi, lo, dest, lp.P_max, lp.P_max),
-                )
-                for dest in cfg.dests
-            )
-            rated = None if lp.mu_of_P is None else lp
-            edges.append((e.id, lp.P_max, theta[e.id], rated, lanes))
-        utilities = tuple(
-            (key[pair], u, V * u.w if u.kind == "linear" else None)
-            for pair, u in ((p, cfg.commodities[p]) for p in cfg.pairs)
-        )
-        return cls(
-            queues=tuple(key),
-            eids=tuple(e.id for e in links),
-            K=tuple(e.link_params.K for e in links),
-            edges=tuple(edges),
-            utilities=utilities,
-        )
-
-
 def initial_state(cfg: ScheduleConfig) -> NetworkState:
-    Q = dict.fromkeys(cfg.plan.queues, 0)
-    E = dict.fromkeys(cfg.plan.eids, 0)
+    Q = dict.fromkeys(cfg.queues, 0)
+    E = dict.fromkeys(cfg.eids, 0)
     return NetworkState(0, Q, E, certified=True)
 
 
@@ -377,14 +360,13 @@ def _bounds_violation(state: NetworkState, cfg: ScheduleConfig) -> str | None:
     """
     q_hi = cfg.queue_bound
     q_tol = 0 if cfg.exact else _FLOAT_RTOL * q_hi
-    eids, e_lo, e_hi = cfg._store_limits
-    E = list(map(state.E.__getitem__, eids))
+    E = list(map(state.E.__getitem__, cfg.eids))
     Q = state.Q.values()
     if (
         min(Q) >= -q_tol
         and max(Q) <= q_hi + q_tol
-        and all(map(le, e_lo, E))
-        and all(map(le, E, e_hi))
+        and all(map(le, cfg.store_lo, E))
+        and all(map(le, E, cfg.store_hi))
         and not any(map(state.Q.get, zip(cfg.dests, cfg.dests)))
     ):
         return None
@@ -394,7 +376,7 @@ def _bounds_violation(state: NetworkState, cfg: ScheduleConfig) -> str | None:
                 return f"destination queue ({node},{dest}) = {q}, not 0, entering slot {state.t}"
         elif q < -q_tol or q > q_hi + q_tol:
             return f"queue ({node},{dest}) = {q} outside [0, {q_hi}] entering slot {state.t}"
-    for eid, e, lo, hi in zip(eids, E, e_lo, e_hi):
+    for eid, e, lo, hi in zip(cfg.eids, E, cfg.store_lo, cfg.store_hi):
         if e < lo or e > hi:
             return f"key store {eid} = {e} outside [0, {cfg.store_bound(eid)}] entering slot {state.t}"
     return None
@@ -434,7 +416,7 @@ def key_consumption(W: Num, E: Num, theta: Num, lp: LinkParams) -> Num:
 
 
 def _controller_decision(state: NetworkState, cfg: ScheduleConfig, rng: Random) -> StepDecision:
-    """One pass over the plan's edges, then its commodities.
+    """One pass over the config's edges, then its commodities.
 
     Per edge: generate keys iff the store is strictly below ``theta``. Weigh
     each (sender, receiver, destination) candidate by its backlog
@@ -453,7 +435,7 @@ def _controller_decision(state: NetworkState, cfg: ScheduleConfig, rng: Random) 
     S: dict[str, int] = {}
     P: dict[str, Num] = {}
     served: dict[str, ServedFlow] = {}
-    for eid, P_max, theta, rated, lanes in cfg.plan.edges:
+    for eid, P_max, theta, rated, lanes in cfg.edges:
         e = E[eid]
         S[eid] = 1 if e < theta else 0
         # gamma > 0, so at most one direction of a lane weighs positive;
@@ -490,7 +472,7 @@ def _controller_decision(state: NetworkState, cfg: ScheduleConfig, rng: Random) 
             served[eid] = flow if rated is None else ServedFlow(flow.src, flow.dst, flow.dest, mu, mu)
     R: dict[tuple[str, str], Num] = {}
     V, R_max = cfg.V, cfg.R_max
-    for pair, u, Vw in cfg.plan.utilities:
+    for pair, u, Vw in cfg.utilities:
         if Vw is None:
             R[pair] = admit(Q[pair], V, u, R_max)
         else:
@@ -528,14 +510,13 @@ def step(
     if not injected:
         decision = _controller_decision(state, cfg, rng)
 
-    plan = cfg.plan
     E, S, P = state.E, decision.S, decision.P
-    margins = list(map(sub, map(E.__getitem__, plan.eids), map(P.__getitem__, plan.eids)))
+    margins = list(map(sub, map(E.__getitem__, cfg.eids), map(P.__getitem__, cfg.eids)))
     min_margin = min(margins)
     if injected and min_margin < 0:
-        eid = next(eid for eid, margin in zip(plan.eids, margins) if margin < 0)
+        eid = next(eid for eid, margin in zip(cfg.eids, margins) if margin < 0)
         raise ValueError(f"injected decision overdraws key store on edge {eid!r}")
-    new_E = dict(zip(plan.eids, map(add, margins, map(mul, map(S.__getitem__, plan.eids), plan.K))))
+    new_E = dict(zip(cfg.eids, map(add, margins, map(mul, map(S.__getitem__, cfg.eids), cfg.K))))
 
     new_Q = dict(state.Q)
     delivered: dict[str, Num] = dict.fromkeys(cfg.dests, 0)
@@ -627,7 +608,7 @@ def drift_audit(decision: StepDecision, cfg: ScheduleConfig) -> DriftAudit:
     slack = cfg.B2 - sum(map(mul, dq, dq))
 
     S, P = decision.S, decision.P
-    for eid, K in zip(cfg.plan.eids, cfg.plan.K):
+    for eid, K in zip(cfg.eids, cfg.K):
         dE = S[eid] * K - P[eid]
         slack -= dE * dE
     tol = 0 if cfg.exact else _FLOAT_RTOL * cfg.B2

@@ -595,6 +595,9 @@ def test_non_list_config_attack_is_rejected(tmp_path, capsys, value):
         ("schedule.commodities.0.w", math.nan, "simulate", "weight must be positive and finite"),
         ("schedule.commodities.0.w", math.inf, "oracle", "weight must be positive and finite"),
         ("schedule.commodities.0.w", True, "oracle", "weight must be a number"),
+        ("edges.0.params.K", "4", "simulate", "on edge 'k1': K must be a number, got '4'"),
+        ("edges.0.params.delta", None, "simulate", "on edge 'k1': delta must be a number, got None"),
+        ("schedule.commodities.0.w", "1", "simulate", "utility weight must be a number, got '1'"),
     ],
 )
 def test_malformed_config_shape_exits_1(tmp_path, capsys, dotted, value, command, message):

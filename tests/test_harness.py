@@ -193,6 +193,12 @@ def test_negative_horizon_rejected():
         Scenario(ScheduleConfig.build(two_node_network(), {("a", "b"): LIN}, V=50, R_max=10), T=-1, seed=1)
 
 
+@pytest.mark.parametrize("T", [2.5, math.nan, True, "5"])
+def test_non_integer_horizon_rejected(T):
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        Scenario(ScheduleConfig.build(two_node_network(), {("a", "b"): LIN}, V=50, R_max=10), T=T, seed=1)
+
+
 def test_run_is_deterministic():
     s = Scenario(ScheduleConfig.build(diamond_network(), {("a", "b"): LIN}, V=80, R_max=8), T=3000, seed=12)
     r1, r2 = run(s), run(s)

@@ -1,8 +1,10 @@
-"""Every import in the package's modules is used.
+"""Every import in the package's modules is used, and every dataclass field is read.
 
-``__init__.py`` only re-exports, so it is left out. A name counts as used
-when it appears anywhere in the module's code, including inside a string
-annotation such as ``"LinkParams | None"``.
+``__init__.py`` only re-exports, so it is left out of the import scan. A
+name counts as used when it appears anywhere in the module's code,
+including inside a string annotation such as ``"LinkParams | None"``. A
+field counts as read when some attribute load of its name (``x.field``)
+appears in the package, its tests or its benchmark.
 """
 
 import ast
@@ -10,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qkdnet"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qkdnet"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -52,3 +55,41 @@ def test_the_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+
+def attribute_loads(sources: list[str]) -> set[str]:
+    """Every name read as an attribute, ``x.name``, in ``sources``."""
+    return {
+        node.attr
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_fields(source: str, read: set[str]) -> list[tuple[str, str]]:
+    """(class, field) for each annotated field of a ``@dataclass`` in ``source`` not in ``read``."""
+    return [
+        (node.name, item.target.id)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and any("dataclass" in _names(d) for d in node.decorator_list)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and item.target.id not in read
+    ]
+
+
+def test_the_scan_flags_an_unread_field():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int\n"
+        "@dataclass\nclass B:\n    z: int\n"
+        "class C:\n    w: int\n"
+        "def f(a, b):\n    b.z = a.x\n"
+    )
+    assert unread_fields(source, attribute_loads([source])) == [("A", "y"), ("B", "z")]
+
+
+def test_every_dataclass_field_is_read():
+    read = attribute_loads([p.read_text() for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")])
+    assert [(path.name, *field) for path in MODULES for field in unread_fields(path.read_text(), read)] == []

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 from random import Random
 
 import pytest
@@ -162,6 +163,27 @@ def test_link_params_reject_a_boolean(field, flag):
 def test_utility_rejects_a_boolean_weight(flag):
     with pytest.raises(ValueError, match=f"utility weight must be a number, got {flag}"):
         Utility("linear", flag)
+
+
+@pytest.mark.parametrize("field", ["K", "P_max", "delta"])
+@pytest.mark.parametrize("value", ["4", None, [4]])
+def test_link_params_reject_a_non_number(field, value):
+    values = {"K": 5, "P_max": 5, field: value}
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be a number, got {value!r}")):
+        LinkParams(**values)
+
+
+@pytest.mark.parametrize("value", ["1", None])
+def test_utility_rejects_a_non_number_weight(value):
+    with pytest.raises(ValueError, match=re.escape(f"utility weight must be a number, got {value!r}")):
+        Utility("linear", value)
+
+
+@pytest.mark.parametrize("key", ["V", "R_max"])
+def test_build_rejects_a_quoted_constant(key):
+    constants = {"V": 10, "R_max": 4, key: "4"}
+    with pytest.raises(ValueError, match=f"{key} must be a number"):
+        ScheduleConfig.build(two_node_network(), {("a", "b"): Utility("linear", 1)}, **constants)
 
 
 def test_utility_validation():
