@@ -11,7 +11,7 @@ Subcommands:
 
 All subcommands read a YAML network config (see the README for the schema)
 and exit 0 on success, 1 on configuration or usage errors, 3 when a
-simulation audit fails.
+simulation audit fails or the oracle's LP fails or does not converge.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .security import (
     Scheme,
     find_secure_path,
     insecure_edges,
-    is_strongest,
     m0_exchange,
     min_strongest_attack,
     multipath_exchange,
@@ -233,18 +232,19 @@ def _cmd_assess(cfg: _Config, args: argparse.Namespace) -> int:
     print(f"attack: {_fmt_nodes(attack) or '(none)'}")
     bad = insecure_edges(g, attack)
     print(f"insecure edges: {_fmt_nodes(bad) or '(none)'} ({len(bad)} of {len(g.edges)})")
-    strongest = is_strongest(g, attack)
-    if strongest:
+    # the attack is strongest exactly when no alice-bob path avoids it
+    path = find_secure_path(g, attack)
+    if path is None:
         print("strongest attack: yes")
         print("communication impossible: every route touches the attack")
         print("secure path: none")
     else:
         print("strongest attack: no")
-        print(f"secure path: {_fmt_path(find_secure_path(g, attack))}")
+        print(f"secure path: {_fmt_path(path)}")
     if cfg.scheme is not None:
         # the GF(2) verdict, not the path hit count: routes may share edges
         print(f"scheme sec={int(security_oracle(g, cfg.scheme, attack) == PERFECTLY_SECRET)}")
-    print(f"sec={int(not strongest)}")
+    print(f"sec={int(path is not None)}")
     return EXIT_OK
 
 
@@ -437,7 +437,11 @@ def _cmd_sweep(cfg: _Config, args: argparse.Namespace) -> int:
 def _cmd_oracle(cfg: _Config, args: argparse.Namespace) -> int:
     commodities = _require_commodities(cfg)
     R_max = _sched_value(cfg, args, "R_max", "r_max")
-    res = oracle_optimal(cfg.network, commodities, R_max)
+    try:
+        res = oracle_optimal(cfg.network, commodities, R_max)
+    except RuntimeError as e:
+        print(f"oracle failure: {e}", file=sys.stderr)
+        return EXIT_AUDIT_FAILED
     print(f"U*={res.value:g}")
     for pair, rate in sorted(res.rates.items()):
         print(f"r {pair[0]}>{pair[1]} = {rate:g}")

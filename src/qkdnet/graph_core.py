@@ -213,8 +213,9 @@ def _removal(g: Network, removed: Iterable[str], a: str, b: str) -> frozenset[st
     gone = frozenset(removed)
     for v in gone:
         g.require_node(v)
-    if a in gone or b in gone:
-        raise ValueError("cannot remove an endpoint")
+    for end in (a, b):
+        if end in gone:
+            raise ValueError(f"cannot remove an endpoint: {end!r}")
     return gone
 
 
@@ -226,23 +227,27 @@ def enumerate_simple_paths(g: Network, a: str, b: str, removed: Iterable[str] = 
     finds, by one search from ``b`` that avoids the current trail, the
     nodes that can still reach ``b``, and descends only into those: every
     descent ends in a path, so the delay between two paths is polynomial.
+    The depth-first search is one loop over an explicit stack, so a path
+    may be as long as the network allows.
     """
     _require_pair(g, a, b)
     adj = g.adjacency
     # a removed node is blocked like a node on the trail: never entered
     on_trail = {a, *_removal(g, removed, a, b)}
-
-    def walk(node: str, trail: tuple[str, ...]) -> Iterator[Path]:
-        reach = _reach(adj, b, on_trail)
-        for nxt in adj[node]:
+    # one frame per trail node: the node, its neighbors not yet tried, and
+    # the nodes that could reach b when it joined the trail
+    stack = [(a, iter(adj[a]), _reach(adj, b, on_trail))]
+    while stack:
+        _, untried, reach = stack[-1]
+        for nxt in untried:
             if nxt == b:
-                yield Path(trail + (b,))
+                yield Path(tuple(node for node, _, _ in stack) + (b,))
             elif nxt in reach:
                 on_trail.add(nxt)
-                yield from walk(nxt, trail + (nxt,))
-                on_trail.remove(nxt)
-
-    yield from walk(a, (a,))
+                stack.append((nxt, iter(adj[nxt]), _reach(adj, b, on_trail)))
+                break
+        else:
+            on_trail.remove(stack.pop()[0])
 
 
 def disconnects(g: Network, removed: Iterable[str], a: str, b: str) -> bool:

@@ -34,6 +34,7 @@ from .graph_core import (
     Edge,
     Network,
     Path,
+    _removal,
     disconnects,
     enumerate_simple_paths,
     min_vertex_cut,
@@ -78,17 +79,7 @@ class AttackSet:
         return label in self.nodes
 
     def validate(self, g: Network) -> None:
-        for v in self.nodes:
-            g.require_node(v)
-        for endpoint in (g.alice, g.bob):
-            if endpoint is not None and endpoint in self.nodes:
-                raise ValueError(f"attack set may not contain endpoint {endpoint!r}")
-
-
-def _as_attack(g: Network, attack: "AttackSet | Iterable[str]") -> AttackSet:
-    a = attack if isinstance(attack, AttackSet) else AttackSet(attack)
-    a.validate(g)
-    return a
+        _removal(g, self.nodes, g.alice, g.bob)
 
 
 @dataclass(frozen=True)
@@ -198,8 +189,8 @@ class ExchangeTranscript:
 
 def insecure_edges(g: Network, attack: "AttackSet | Iterable[str]") -> frozenset[str]:
     """Ids of edges whose key the eavesdropper learns outright."""
-    a = _as_attack(g, attack)
-    return frozenset(e.id for e in g.edges if e.u in a.nodes or e.v in a.nodes)
+    gone = _removal(g, attack, g.alice, g.bob)
+    return frozenset(e.id for e in g.edges if e.u in gone or e.v in gone)
 
 
 def _eve_view(
@@ -219,21 +210,17 @@ def is_strongest(g: Network, attack: "AttackSet | Iterable[str]") -> bool:
     """True iff no scheme whatsoever can survive this attack.
 
     That holds exactly when removing the compromised nodes disconnects alice
-    from bob. With a direct alice-bob edge no attack qualifies, so this
-    returns False.
+    from bob. An attack holds relays only, so a direct alice-bob edge
+    survives it: ``disconnects`` returns False there, and no attack qualifies.
     """
     alice, bob = g.require_endpoints()
-    a = _as_attack(g, attack)
-    if g.edge_between(alice, bob) is not None:
-        return False
-    return disconnects(g, a.nodes, alice, bob)
+    return disconnects(g, attack, alice, bob)
 
 
 def find_secure_path(g: Network, attack: "AttackSet | Iterable[str]") -> Path | None:
     """Lexicographically least alice-to-bob path avoiding the attack, if any."""
     alice, bob = g.require_endpoints()
-    a = _as_attack(g, attack)
-    return next(enumerate_simple_paths(g, alice, bob, a.nodes), None)
+    return next(enumerate_simple_paths(g, alice, bob, attack), None)
 
 
 def min_strongest_attack(g: Network) -> AttackSet:

@@ -15,7 +15,7 @@ from qkdnet.harness import Scenario, run
 from qkdnet.scheduler import LinkParams, ScheduleConfig, StateInvariantError, Utility
 from qkdnet.security import demo7_network
 
-from helpers import ReferenceCsvObserver, diamond_network, with_link_params
+from helpers import ReferenceCsvObserver, diamond_network, grid_network, with_link_params
 
 
 FIXTURE_YAML = """
@@ -144,6 +144,20 @@ def test_assess_direct_link_secure_path_is_the_link(tmp_path, capsys):
     assert cli.main(["assess", str(p), "--attack", "c"]) == 0
     out = capsys.readouterr().out
     assert "strongest attack: no\nsecure path: (a,b)\n" in out
+    assert out.endswith("sec=1\n")
+
+
+def test_assess_finds_a_path_longer_than_the_recursion_limit(tmp_path, capsys):
+    """On a 40x40 grid the lexicographically least path snakes through
+    1,561 of the 1,600 nodes, deeper than Python's default recursion limit."""
+    g = grid_network(40)
+    doc = {"alice": g.alice, "bob": g.bob, "edges": [{"id": e.id, "u": e.u, "v": e.v} for e in g.edges]}
+    p = tmp_path / "grid.yaml"
+    p.write_text(yaml.safe_dump(doc))
+    assert cli.main(["assess", str(p)]) == 0
+    out = capsys.readouterr().out
+    path = out.split("secure path: (")[1].split(")")[0].split(",")
+    assert (len(path), path[0], path[-1]) == (1561, "g0_0", "g39_39")
     assert out.endswith("sec=1\n")
 
 
@@ -304,6 +318,17 @@ def test_simulate_audit_failure_exit_code(diamond_cfg, capsys, monkeypatch):
     assert "drift audit: FAILED" in capsys.readouterr().out
 
 
+def test_oracle_lp_failure_exits_3(diamond_cfg, capsys, monkeypatch):
+    def failing(*args):
+        raise RuntimeError("oracle LP failed: injected by the test")
+
+    monkeypatch.setattr(cli, "oracle_optimal", failing)
+    assert cli.main(["oracle", diamond_cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "oracle failure: oracle LP failed: injected by the test\n"
+
+
 def test_oracle_subcommand(diamond_cfg, capsys):
     assert cli.main(["oracle", diamond_cfg]) == 0
     out = capsys.readouterr().out
@@ -343,6 +368,17 @@ def test_sweep_pass(diamond_cfg, capsys):
     out = capsys.readouterr().out
     assert "oracle U*=6" in out
     assert out.strip().endswith("PASS")
+
+
+def test_sweep_audit_failure_exits_3(diamond_cfg, capsys, monkeypatch):
+    def failing(*args):
+        raise RuntimeError("audit failed during sweep at V=20 seed=2")
+
+    monkeypatch.setattr(cli, "v_sweep", failing)
+    assert cli.main(["sweep", diamond_cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "audit failure: audit failed during sweep at V=20 seed=2\n"
 
 
 def test_sweep_checks_every_v_before_solving(diamond_cfg, capsys, monkeypatch):
@@ -514,6 +550,13 @@ def test_malformed_yaml(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_config_that_is_a_list_exits_1(tmp_path, capsys):
+    p = tmp_path / "list.yaml"
+    p.write_text("- {id: e1, u: a, v: b}\n")
+    assert cli.main(["assess", str(p)]) == 1
+    assert capsys.readouterr().err == "error: config must be a YAML mapping\n"
+
+
 def test_config_without_edges(tmp_path, capsys):
     p = tmp_path / "empty.yaml"
     p.write_text("alice: a\nbob: b\n")
@@ -598,6 +641,11 @@ def test_non_list_config_attack_is_rejected(tmp_path, capsys, value):
         ("edges.0.params.K", "4", "simulate", "on edge 'k1': K must be a number, got '4'"),
         ("edges.0.params.delta", None, "simulate", "on edge 'k1': delta must be a number, got None"),
         ("schedule.commodities.0.w", "1", "simulate", "utility weight must be a number, got '1'"),
+        ("schedule.V", None, "simulate", "config needs schedule.V (or --v)"),
+        ("schedule.V_values", [], "sweep", "sweep needs --v-values or schedule.V_values"),
+        ("edges", [{"id": "k1", "u": "a"}], "attack", "edge entries need id/u/v"),
+        ("schedule.commodities", [{"src": "a", "dst": "b"}] * 2, "simulate", "duplicate commodity a->b"),
+        ("security.attack", "a", "assess", "cannot remove an endpoint: 'a'"),
     ],
 )
 def test_malformed_config_shape_exits_1(tmp_path, capsys, dotted, value, command, message):

@@ -1,10 +1,14 @@
-"""Every import in the package's modules is used, and every dataclass field is read.
+"""Every import in the package's modules is used, every dataclass field is
+read, and no function calls itself.
 
 ``__init__.py`` only re-exports, so it is left out of the import scan. A
 name counts as used when it appears anywhere in the module's code,
 including inside a string annotation such as ``"LinkParams | None"``. A
 field counts as read when some attribute load of its name (``x.field``)
-appears in the package, its tests or its benchmark.
+appears in the package, its tests or its benchmark. A function calls
+itself when its body, nested functions included, calls its own name, bare
+or as ``self.name`` or ``cls.name``: a recursive search has a depth limit
+that a long path or a large graph reaches.
 """
 
 import ast
@@ -93,3 +97,37 @@ def test_the_scan_flags_an_unread_field():
 def test_every_dataclass_field_is_read():
     read = attribute_loads([p.read_text() for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")])
     assert [(path.name, *field) for path in MODULES for field in unread_fields(path.read_text(), read)] == []
+
+
+def _calls_by_name(call: ast.AST, name: str) -> bool:
+    if not isinstance(call, ast.Call):
+        return False
+    func = call.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in ("self", "cls"):
+        return func.attr == name
+    return isinstance(func, ast.Name) and func.id == name
+
+
+def self_calls(source: str) -> list[str]:
+    """Names of the functions in ``source``, nested ones included, that call themselves."""
+    return sorted(
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_calls_by_name(call, node.name) for call in ast.walk(node))
+    )
+
+
+def test_the_scan_flags_a_self_call():
+    source = (
+        "def f(n):\n    return f(n - 1) if n else 0\n"
+        "def g():\n    def walk(x):\n        yield from walk(x)\n    return walk\n"
+        "class A:\n    def m(self):\n        return self.m()\n"
+        "    def k(self, other):\n        return other.k() + f(1)\n"
+    )
+    assert self_calls(source) == ["f", "m", "walk"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_function_calls_itself(path):
+    assert self_calls(path.read_text()) == []
