@@ -301,10 +301,6 @@ def _cmd_exchange(cfg: _Config, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# rows the CSV writer gathers before one write to the file
-_CSV_CHUNK_ROWS = 4096
-
-
 def _csv_field(text: str) -> str:
     """``text`` as ``csv.writer``'s default dialect writes it in a row: quoted
 
@@ -316,17 +312,15 @@ def _csv_field(text: str) -> str:
 
 
 class _CsvObserver:
-    """Gathers one row per queue and per edge each slot.
+    """Writes one row per queue and per edge each slot.
 
     Q and E are observed at slot start; R, S, P and the served columns are
     that slot's decision. served-b is the destination the edge served. Rows
     follow the config's queue keys and edge ids, which are sorted: nodes,
-    destinations and edge ids all are. Labels are quoted once, each
-    row is one f-string, and rows go to the file in chunks of at least
-    ``_CSV_CHUNK_ROWS``, written inside the slot call that completes one.
-    ``flush`` writes the rest; the file's owner calls it before closing,
-    whether or not the run finished. The bytes are those ``csv.writer``
-    writes.
+    destinations and edge ids all are. Labels are quoted once, each row is
+    one f-string, and each slot's rows go to the file in one write, through
+    the file's own buffer: a run that fails leaves every earlier slot on
+    disk once the file is closed. The bytes are those ``csv.writer`` writes.
     """
 
     HEADER = ["slot", "entity-id", "Q", "E", "S", "P", "R", "served-b", "served-rate", "actual"]
@@ -337,20 +331,15 @@ class _CsvObserver:
         # each label comes with the commas around it: the empty Q column
         # after an edge label included
         self.queues = [(key, f",{_csv_field(f'q:{key[0]}>{key[1]}')},") for key in cfg.queues]
-        self.row_of = {key: i for i, (key, _) in enumerate(self.queues)}
         self.stores = [(eid, f",{_csv_field(f'e:{eid}')},,") for eid in cfg.eids]
         self.dests = {dest: _csv_field(dest) for dest in cfg.dests}
-        self.rows: list[str] = []
 
     def __call__(self, t: int, state: NetworkState, decision: StepDecision, audit: SlotAudit) -> None:
         Q, E = state.Q, state.E
-        S, P, served, dests = decision.S, decision.P, decision.served, self.dests
+        S, P, R, served, dests = decision.S, decision.P, decision.R, decision.served, self.dests
         slot = str(t)
-        rows = [f"{slot}{label}{Q[key]},,,,,,,\r\n" for key, label in self.queues]
-        # only the admitted queues carry R; an admission always names a queue
-        for key, r in decision.R.items():
-            i = self.row_of[key]
-            rows[i] = f"{slot}{self.queues[i][1]}{Q[key]},,,,{r},,,\r\n"
+        # only the admitted queues carry R
+        rows = [f"{slot}{label}{Q[key]},,,,{R.get(key, '')},,,\r\n" for key, label in self.queues]
         for eid, label in self.stores:
             flow = served.get(eid)
             if flow is None:
@@ -359,14 +348,7 @@ class _CsvObserver:
                 rows.append(
                     f"{slot}{label}{E[eid]},{S[eid]},{P[eid]},,{dests[flow.dest]},{flow.nominal},{flow.actual}\r\n"
                 )
-        self.rows += rows
-        if len(self.rows) >= _CSV_CHUNK_ROWS:
-            self.flush()
-
-    def flush(self) -> None:
-        """Write the rows gathered since the last chunk."""
-        self.fh.write("".join(self.rows))
-        self.rows.clear()
+        self.fh.write("".join(rows))
 
 
 def _cmd_simulate(cfg: _Config, args: argparse.Namespace) -> int:
@@ -378,13 +360,7 @@ def _cmd_simulate(cfg: _Config, args: argparse.Namespace) -> int:
     scenario = Scenario(ScheduleConfig.build(cfg.network, commodities, V, R_max, tie_mode), T, cfg.seed)
 
     with open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext() as csv_fh:
-        observer = None if csv_fh is None else _CsvObserver(csv_fh, scenario.config)
-        try:
-            result = run(scenario, observer=observer)
-        finally:
-            # the last partial chunk, and every slot before a failure
-            if observer is not None:
-                observer.flush()
+        result = run(scenario, observer=None if csv_fh is None else _CsvObserver(csv_fh, scenario.config))
 
     print(f"slots: {T}  seed: {scenario.seed}  V: {V}")
     for pair in scenario.config.pairs:

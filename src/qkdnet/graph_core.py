@@ -211,8 +211,9 @@ def _reach(adj: dict[str, tuple[str, ...]], root: str, blocked: Container[str]) 
 def _removal(g: Network, removed: Iterable[str], a: str, b: str) -> frozenset[str]:
     """``removed`` as a set of the network's nodes, refusing ``a`` and ``b``."""
     gone = frozenset(removed)
-    for v in gone:
-        g.require_node(v)
+    if not g.adjacency.keys() >= gone:
+        # the least unknown label, so the message does not follow the hash seed
+        g.require_node(min(gone - g.adjacency.keys(), key=str))
     for end in (a, b):
         if end in gone:
             raise ValueError(f"cannot remove an endpoint: {end!r}")

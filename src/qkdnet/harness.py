@@ -320,8 +320,10 @@ def v_sweep(
         for seed in seeds:
             scenario = Scenario(config, T, seed)
             result = run(scenario)
-            if not (result.drift_ok and result.availability_ok):
-                raise RuntimeError(f"audit failed during sweep at V={V} seed={seed}")
+            audits = (("drift", result.drift_ok), ("key availability", result.availability_ok))
+            failed = " and ".join(f"{name} audit" for name, ok in audits if not ok)
+            if failed:
+                raise RuntimeError(f"{failed} failed during sweep at V={V} seed={seed}")
             measured = result.metrics.utility_of_rates(commodities)
             gap = config.B_tilde / V
             passed = measured >= oracle.value - gap - _SWEEP_SLACK * oracle.value

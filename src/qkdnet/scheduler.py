@@ -438,36 +438,28 @@ def _controller_decision(state: NetworkState, cfg: ScheduleConfig, rng: Random) 
     for eid, P_max, theta, rated, lanes in cfg.edges:
         e = E[eid]
         S[eid] = 1 if e < theta else 0
-        # gamma > 0, so at most one direction of a lane weighs positive;
-        # each direction keeps its first largest weight and its ties
-        up = down = 0
-        up_ties = down_ties = None
+        # gamma > 0, so only a lane's direction down its backlog differential
+        # can weigh positive. Ties run lower-to-higher flows first, then
+        # higher-to-lower, each in lane order: the sort below is stable.
+        best, ties = 0, None
         for lo_key, hi_key, up_flow, down_flow in lanes:
             d = Q[lo_key] - Q[hi_key]
-            w = d - gamma
-            if w > 0:
-                if w > up:
-                    up, up_ties = w, [up_flow]
-                elif w == up:
-                    up_ties.append(up_flow)
+            if d > 0:
+                w, flow = d - gamma, up_flow
             else:
-                w = -d - gamma
-                if w > down:
-                    down, down_ties = w, [down_flow]
-                elif w == down and w > 0:
-                    down_ties.append(down_flow)
-        if down > up:
-            best, ties = down, down_ties
-        elif down == up and down_ties:
-            best, ties = up, up_ties + down_ties
-        else:
-            best, ties = up, up_ties
+                w, flow = -d - gamma, down_flow
+            if w > best:
+                best, ties = w, [flow]
+            elif w == best and w > 0:
+                ties.append(flow)
         if rated is None:
             P[eid] = mu = P_max if best + e - theta > 0 else 0
         else:
             P[eid] = p = key_consumption(best, e, theta, rated)
             mu = rated.mu_of_P(p)
         if mu > 0 and ties:
+            if len(ties) > 1:
+                ties.sort(key=lambda flow: flow.src > flow.dst)
             flow = ties[rng.randrange(len(ties))] if random_ties and len(ties) > 1 else ties[0]
             served[eid] = flow if rated is None else ServedFlow(flow.src, flow.dst, flow.dest, mu, mu)
     R: dict[tuple[str, str], Num] = {}
@@ -515,7 +507,9 @@ def step(
     min_margin = min(margins)
     if injected and min_margin < 0:
         eid = next(eid for eid, margin in zip(cfg.eids, margins) if margin < 0)
-        raise ValueError(f"injected decision overdraws key store on edge {eid!r}")
+        raise ValueError(
+            f"injected decision overdraws key store on edge {eid!r} at slot {state.t}: spends {P[eid]} of {E[eid]}"
+        )
     new_E = dict(zip(cfg.eids, map(add, margins, map(mul, map(S.__getitem__, cfg.eids), cfg.K))))
 
     new_Q = dict(state.Q)

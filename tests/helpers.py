@@ -639,9 +639,6 @@ class ReferenceCsvObserver:
                 ]
             )
 
-    def flush(self) -> None:
-        """Nothing to do: every row is written as it is made."""
-
 
 # -- static-oracle referee ----------------------------------------------------
 

@@ -3,7 +3,11 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 import yaml
@@ -15,7 +19,7 @@ from qkdnet.harness import Scenario, run
 from qkdnet.scheduler import LinkParams, ScheduleConfig, StateInvariantError, Utility
 from qkdnet.security import demo7_network
 
-from helpers import ReferenceCsvObserver, diamond_network, grid_network, with_link_params
+from helpers import ReferenceCsvObserver, grid_network, with_link_params
 
 
 FIXTURE_YAML = """
@@ -402,11 +406,46 @@ def test_sweep_checks_every_v_before_solving(diamond_cfg, capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["assess", "fixture.yaml", "--attack", "zz,yy,xx"],
+        ["assess", "fixture.yaml", "--attack", "c1,c3"],
+        ["attack", "fixture.yaml"],
+        ["exchange", "fixture.yaml", "--scheme", "m0"],
+        ["exchange", "fixture.yaml", "--scheme", "multipath", "--attack", "c1"],
+        ["simulate", "fixture.yaml", "--horizon", "300", "--csv", "trace.csv"],
+        ["sweep", "diamond.yaml", "--horizon", "300"],
+        ["oracle", "fixture.yaml"],
+    ],
+    ids=["assess-unknown", "assess", "attack", "exchange-m0", "exchange-multipath", "simulate", "sweep", "oracle"],
+)
+def test_output_does_not_follow_the_string_hash_seed(tmp_path, argv):
+    """``python -m qkdnet.cli`` prints, exits and writes its CSV alike under
+
+    two string hash seeds: set iteration order never reaches the output.
+    """
+    (tmp_path / "fixture.yaml").write_text(FIXTURE_YAML)
+    (tmp_path / "diamond.yaml").write_text(DIAMOND_YAML)
+    trace = tmp_path / "trace.csv"
+    src = Path(__file__).resolve().parents[1] / "src"
+    seen = []
+    for hash_seed in ("1", "2"):
+        trace.unlink(missing_ok=True)
+        out = subprocess.run(
+            [sys.executable, "-m", "qkdnet.cli", *argv],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed},
+            capture_output=True,
+            text=True,
+        )
+        seen.append((out.returncode, out.stdout, out.stderr, trace.read_bytes() if trace.exists() else None))
+    assert seen[0] == seen[1]
+
+
 def _csv_bytes(observer_factory, scenario):
     fh = io.StringIO(newline="")
-    observer = observer_factory(fh)
-    run(scenario, observer=observer)
-    observer.flush()
+    run(scenario, observer=observer_factory(fh))
     return fh.getvalue().encode()
 
 
@@ -449,37 +488,6 @@ def test_csv_writer_quotes_labels_like_the_reference_writer():
     assert got == _csv_bytes(ReferenceCsvObserver, scenario)
     for quoted in (b'"e:e,1"', b'"e:e""2"', b'"q:m""1>a"', b'"q:m,2>b,x"', b',"b,x",'):
         assert quoted in got, quoted
-
-
-class _CountedWrites(io.StringIO):
-    """A text buffer that records how many rows each write carried."""
-
-    def __init__(self) -> None:
-        super().__init__(newline="")
-        self.rows_per_write: list[int] = []
-
-    def write(self, text: str) -> int:
-        self.rows_per_write.append(text.count("\r\n"))
-        return super().write(text)
-
-
-def test_csv_writer_writes_whole_chunks_in_slots_and_the_rest_on_flush():
-    """On the diamond (8 rows a slot) a 1000-slot horizon is no multiple of
-
-    the chunk: whole chunks go out during the run, the rest only on flush,
-    and the bytes still equal the reference writer's.
-    """
-    cfg = ScheduleConfig.build(diamond_network(), {("a", "b"): Utility("linear", 1)}, V=60, R_max=8)
-    scenario = Scenario(cfg, T=1000, seed=5)
-    rows, chunk = 8 * 1000, -(-cli._CSV_CHUNK_ROWS // 8) * 8
-    assert rows % chunk
-    fh = _CountedWrites()
-    observer = cli._CsvObserver(fh, scenario.config)
-    run(scenario, observer=observer)
-    assert fh.rows_per_write == [1] + [chunk] * (rows // chunk)
-    observer.flush()
-    assert fh.rows_per_write == [1] + [chunk] * (rows // chunk) + [rows % chunk]
-    assert fh.getvalue().encode() == _csv_bytes(ReferenceCsvObserver, scenario)
 
 
 def test_simulate_zero_horizon_writes_the_header_only(diamond_cfg, tmp_path, capsys):

@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from random import Random
 
 import numpy as np
 import pytest
 
+from qkdnet import harness
 from qkdnet.graph_core import Network
 from qkdnet.harness import _ORACLE_GAP, Metrics, Scenario, oracle_optimal, run, v_sweep
 from qkdnet.scheduler import LinkParams, ScheduleConfig, Utility
@@ -319,3 +321,22 @@ def test_v_sweep_diamond_rows_pass():
 def test_v_sweep_gap_bound_shrinks():
     rows = v_sweep(diamond_network(), {("a", "b"): LIN}, R_max=8, T=4000, V_values=[50, 200], seeds=[1])
     assert rows[0].gap_bound > rows[1].gap_bound
+
+
+@pytest.mark.parametrize(
+    "drift_ok,availability_ok,failed",
+    [
+        (False, True, "drift audit"),
+        (True, False, "key availability audit"),
+        (False, False, "drift audit and key availability audit"),
+    ],
+)
+def test_v_sweep_audit_failure_names_the_audit(monkeypatch, drift_ok, availability_ok, failed):
+    real_run = harness.run
+
+    def failing_run(scenario):
+        return replace(real_run(scenario), drift_ok=drift_ok, availability_ok=availability_ok)
+
+    monkeypatch.setattr(harness, "run", failing_run)
+    with pytest.raises(RuntimeError, match=f"^{failed} failed during sweep at V=50 seed=1$"):
+        v_sweep(diamond_network(), {("a", "b"): LIN}, R_max=8, T=10, V_values=[50], seeds=[1])

@@ -386,7 +386,7 @@ def test_injected_overdraw_is_refused():
     cfg = ScheduleConfig.build(two_node_network(), {("a", "b"): Utility("linear", 1)}, 200, 10)
     state = initial_state(cfg)
     overdraw = StepDecision(S={"e1": 0}, R={}, P={"e1": 5}, served={})
-    with pytest.raises(ValueError, match="overdraws key store on edge 'e1'"):
+    with pytest.raises(ValueError, match="overdraws key store on edge 'e1' at slot 0: spends 5 of 0$"):
         step(state, cfg, Random(0), decision=overdraw)
     assert state.E == {"e1": 0}
 
