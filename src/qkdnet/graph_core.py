@@ -9,8 +9,10 @@ is lexicographic in the node sequence, and cut tie-breaks always pick the
 lexicographically smallest witness, so repeated runs produce identical output.
 
 Cuts and disjoint paths share one int-indexed unit-capacity max flow on the
-node-split digraph (Menger's theorem; Edmonds and Karp, JACM 1972). The
-lexicographically least minimum cut is read off that one flow: the minimum
+node-split digraph (Menger's theorem; Edmonds and Karp, JACM 1972). A
+network computes it once per endpoint pair, on first use, and keeps it;
+its arc lists are built in head order, with no sort, and no reader changes
+it. The lexicographically least minimum cut is read off that flow: the minimum
 cuts are the closed sets of its residual graph (Picard and Queyranne, Math.
 Prog. Study 13, 1980), so each candidate node is tested by reachability,
 not by a fresh augmentation. Accepted nodes cost O(m) in all, a rejected
@@ -165,12 +167,9 @@ class Network:
         return {e.pair: e for e in self.edges}
 
     @cached_property
-    def incident(self) -> dict[str, tuple[Edge, ...]]:
-        inc: dict[str, list[Edge]] = {n: [] for n in self.nodes}
-        for e in self.edges:
-            inc[e.u].append(e)
-            inc[e.v].append(e)
-        return {n: tuple(sorted(es, key=lambda e: e.id)) for n, es in inc.items()}
+    def _flows(self) -> dict[tuple[str, str], "_SplitFlow"]:
+        """The max flow of each endpoint pair asked about, built once."""
+        return {}
 
     def require_node(self, label: str) -> None:
         if label not in self.adjacency:
@@ -273,29 +272,48 @@ class _SplitFlow:
     start at ``edge_base``. Each vertex lists its arcs by head index, which
     is (label, in/out) order, so the breadth-first searches (Edmonds-Karp)
     pick the same augmenting paths on every run.
+
+    The lists come out in head order as they are built, with no sort: node
+    ``x``'s out-copy takes its edge arcs in the sorted ``g.adjacency[x]``
+    order and its reverse node arc (head ``2x``) at ``x``'s own place among
+    them; an in-copy takes its reverse edge arcs as the loop over ``x``
+    ascends, and its node arc (head ``2x + 1``) when the loop reaches it.
+    ``_max_flow`` builds one per network and endpoint pair and shares it,
+    so its readers leave ``cap`` as the augmentation left it.
     """
 
     def __init__(self, g: Network, a: str, b: str) -> None:
         index = {v: i for i, v in enumerate(g.nodes)}
         ia, ib = index[a], index[b]
         head: list[int] = []
-        self.node_arc = [-1] * len(g.nodes)
+        node_arc = self.node_arc = [-1] * len(g.nodes)
         for i in range(len(g.nodes)):
             if i != ia and i != ib:
-                self.node_arc[i] = len(head)
+                node_arc[i] = len(head)
                 head += (2 * i + 1, 2 * i)
         self.edge_base = len(head)
-        for e in g.edges:
-            for x, y in ((index[e.u], index[e.v]), (index[e.v], index[e.u])):
-                if x != ib and y != ia:
+        out: list[list[int]] = [[] for _ in range(2 * len(g.nodes))]
+        adjacency = g.adjacency
+        for x, v in enumerate(g.nodes):
+            back = node_arc[x] + 1  # the reverse node arc, or 0 at an endpoint
+            if back:
+                out[2 * x].append(back - 1)
+            if x == ib:
+                continue  # no arc leaves b
+            arcs = out[2 * x + 1]
+            for w in adjacency[v]:
+                y = index[w]
+                if back and y > x:
+                    arcs.append(back)
+                    back = 0
+                if y != ia:  # no arc enters a
+                    out[2 * y].append(len(head) + 1)
+                    arcs.append(len(head))
                     head += (2 * y, 2 * x + 1)
-        self.head = head
+            if back:
+                arcs.append(back)
+        self.head, self.out = head, out
         self.cap = [1, 0] * (len(head) // 2)
-        self.out: list[list[int]] = [[] for _ in range(2 * len(g.nodes))]
-        for arc in range(len(head)):
-            self.out[head[arc ^ 1]].append(arc)
-        for arcs in self.out:
-            arcs.sort(key=head.__getitem__)
         self.source, self.sink = 2 * ia + 1, 2 * ib
         self.value = 0
         while self.augment():
@@ -322,10 +340,14 @@ class _SplitFlow:
                     queue.append(y)
         return False
 
-    def flow_arc(self, x: int) -> int:
-        """The first arc carrying flow out of vertex ``x``."""
-        cap = self.cap
-        return next(arc for arc in self.out[x] if not arc & 1 and not cap[arc])
+
+def _max_flow(g: Network, a: str, b: str) -> _SplitFlow:
+    """The ``a`` to ``b`` split flow of ``g``, built on first use and kept
+    on the network; readers must not change it."""
+    flow = g._flows.get((a, b))
+    if flow is None:
+        flow = g._flows[a, b] = _SplitFlow(g, a, b)
+    return flow
 
 
 def min_vertex_cut(g: Network, a: str, b: str) -> frozenset[str]:
@@ -354,7 +376,7 @@ def min_vertex_cut(g: Network, a: str, b: str) -> frozenset[str]:
     _require_pair(g, a, b)
     if g.edge_between(a, b) is not None:
         raise DirectLinkError(f"{a!r} and {b!r} share a direct edge; no interior cut exists")
-    flow = _SplitFlow(g, a, b)
+    flow = _max_flow(g, a, b)
     head, out, cap = flow.head, flow.out, flow.cap
     # the residual graph with edge arcs uncapped: every forward edge arc,
     # and any other arc with capacity left
@@ -408,7 +430,9 @@ def max_disjoint_paths(g: Network, a: str, b: str) -> tuple[Path, ...]:
     direct edge the family size equals ``len(min_vertex_cut(g, a, b))``.
     """
     _require_pair(g, a, b)
-    flow = _SplitFlow(g, a, b)
+    flow = _max_flow(g, a, b)
+    head, out = flow.head, flow.out
+    cap = flow.cap.copy()  # the walk spends flow; the shared flow stays whole
     paths = []
     for _ in range(flow.value):
         y = flow.source
@@ -416,9 +440,9 @@ def max_disjoint_paths(g: Network, a: str, b: str) -> tuple[Path, ...]:
         while y != flow.sink:
             # arc lists are sorted by head, so the first flow arc is the
             # lexicographically smallest next hop
-            arc = flow.flow_arc(y)
-            flow.cap[arc] = 1
-            y = flow.head[arc]
+            arc = next(arc for arc in out[y] if not arc & 1 and not cap[arc])
+            cap[arc] = 1
+            y = head[arc]
             if not y & 1:
                 trail.append(g.nodes[y >> 1])
         paths.append(Path(tuple(trail)))

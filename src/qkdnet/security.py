@@ -252,15 +252,20 @@ def _multipath_announcements(
 
 def _m0_announcements(
     g: Network, keys: KeyAssignment | dict[str, int]
-) -> tuple[dict[str, int], int]:
-    """Each relay's XOR of its incident edge keys, and alice's key: the XOR of hers."""
+) -> tuple[dict[str, int], int, int]:
+    """Each relay's XOR of its incident edge keys, then alice's and bob's.
+
+    One pass over the edges: each key joins the XOR of both its ends.
+    Alice's XOR is her key.
+    """
     alice, bob = g.require_endpoints()
-    announcements = {
-        v: _xor_all(keys[e.id] for e in g.incident[v])
-        for v in g.nodes
-        if v not in (alice, bob)
-    }
-    return announcements, _xor_all(keys[e.id] for e in g.incident[alice])
+    xors = dict.fromkeys(g.nodes, 0)
+    for e in g.edges:
+        key = keys[e.id]
+        xors[e.u] ^= key
+        xors[e.v] ^= key
+    alice_xor, bob_xor = xors.pop(alice), xors.pop(bob)
+    return xors, alice_xor, bob_xor
 
 
 def multipath_exchange(
@@ -311,10 +316,8 @@ def m0_exchange(g: Network, keys: KeyAssignment) -> ExchangeTranscript:
     keys.validate(g)
     if disconnects(g, (), alice, bob):
         raise ValueError("alice and bob are in different components; exchange impossible")
-    announcements, alice_key = _m0_announcements(g, keys)
-    bob_key = _xor_all(announcements.values()) ^ _xor_all(
-        keys[e.id] for e in g.incident[bob]
-    )
+    announcements, alice_key, bob_xor = _m0_announcements(g, keys)
+    bob_key = _xor_all(announcements.values()) ^ bob_xor
     if alice_key != bob_key:  # every non-alice key cancels pairwise; cannot fail
         raise AssertionError("announcement cancellation mismatch")
     return ExchangeTranscript(
@@ -367,7 +370,7 @@ def security_oracle(
     if isinstance(scheme, str):
         if scheme != "m0":
             raise ValueError(f"unknown scheme kind {scheme!r}")
-        announcements, secret = _m0_announcements(g, keys)
+        announcements, secret, _ = _m0_announcements(g, keys)
     else:
         hops = scheme.validate(g)
         m, k = len(keys), len(hops)

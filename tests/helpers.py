@@ -15,7 +15,7 @@ from random import Random
 import numpy as np
 from scipy.optimize import linprog
 
-from qkdnet.graph_core import DirectLinkError, Edge, Network, Path
+from qkdnet.graph_core import DirectLinkError, Edge, Network, Path, _SplitFlow
 from qkdnet.scheduler import (
     DriftAudit,
     LinkParams,
@@ -297,6 +297,54 @@ def dict_flow_disjoint_paths(g: Network, a: str, b: str) -> tuple[Path, ...]:
     return tuple(sorted(paths, key=lambda p: p.nodes))
 
 
+class SortedSplitFlow(_SplitFlow):
+    """``_SplitFlow`` with its arc lists built the plain way: every arc
+
+    numbered in edge-id order, appended to its tail's list, and each list
+    sorted by head afterwards. The augmentation is inherited, so any
+    difference from ``_SplitFlow`` comes from the order of the lists: the
+    referee for the build in head order.
+    """
+
+    def __init__(self, g: Network, a: str, b: str) -> None:
+        index = {v: i for i, v in enumerate(g.nodes)}
+        ia, ib = index[a], index[b]
+        head: list[int] = []
+        self.node_arc = [-1] * len(g.nodes)
+        for i in range(len(g.nodes)):
+            if i != ia and i != ib:
+                self.node_arc[i] = len(head)
+                head += (2 * i + 1, 2 * i)
+        self.edge_base = len(head)
+        for e in g.edges:
+            for x, y in ((index[e.u], index[e.v]), (index[e.v], index[e.u])):
+                if x != ib and y != ia:
+                    head += (2 * y, 2 * x + 1)
+        self.head = head
+        self.cap = [1, 0] * (len(head) // 2)
+        self.out = [[] for _ in range(2 * len(g.nodes))]
+        for arc in range(len(head)):
+            self.out[head[arc ^ 1]].append(arc)
+        for arcs in self.out:
+            arcs.sort(key=head.__getitem__)
+        self.source, self.sink = 2 * ia + 1, 2 * ib
+        self.value = 0
+        while self.augment():
+            self.value += 1
+
+
+def per_node_xors(g: Network, keys) -> dict[str, int]:
+    """Each node's XOR of the keys of the edges that touch it, node by node."""
+    out = {}
+    for v in g.nodes:
+        acc = 0
+        for e in g.edges:
+            if v in (e.u, e.v):
+                acc ^= keys[e.id]
+        out[v] = acc
+    return out
+
+
 def random_relay_graph(rng: Random, n: int, by_distance: bool = False) -> Network:
     """A sparse relay network with random labels: a ring lattice of ``n``
 
@@ -436,12 +484,14 @@ def enumerate_oracle(g: Network, scheme, attack) -> str:
         for v in g.nodes:
             if v not in (alice, bob):
                 mask = 0
-                for e in g.incident[v]:
-                    mask ^= 1 << index[e.id]
+                for e in g.edges:
+                    if v in (e.u, e.v):
+                        mask ^= 1 << index[e.id]
                 view_masks.append(mask)
         secret_mask = 0
-        for e in g.incident[alice]:
-            secret_mask ^= 1 << index[e.id]
+        for e in g.edges:
+            if alice in (e.u, e.v):
+                secret_mask ^= 1 << index[e.id]
     else:
         scheme.validate(g)
         n_paths = len(scheme.paths)

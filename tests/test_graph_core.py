@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from random import Random
 
+from qkdnet import graph_core
 from qkdnet.graph_core import (
     DirectLinkError,
     Edge,
@@ -19,15 +20,17 @@ from qkdnet.graph_core import (
     max_disjoint_paths,
     min_vertex_cut,
 )
-from qkdnet.security import demo7_network
+from qkdnet.security import demo7_network, min_strongest_attack
 
 from helpers import (
+    SortedSplitFlow,
     backtracking_simple_paths,
     brute_all_paths,
     brute_has_avoiding_path,
     brute_min_vertex_cut,
     connected_masks,
     dict_flow_disjoint_paths,
+    grid_network,
     interior_subsets,
     network_from_mask,
     pair_list,
@@ -456,3 +459,85 @@ def test_results_are_deterministic():
     )
     assert min_vertex_cut(g, "a", "b") == min_vertex_cut(g, "a", "b")
     assert max_disjoint_paths(g, "a", "b") == max_disjoint_paths(g, "a", "b")
+
+
+# -- one max flow per network, built in head order ------------------------------
+
+
+def _flow_lists(flow):
+    """Each vertex's arcs in order, as head, residual capacity, reverse or
+    not, edge arc or not; then the value, the node arcs' capacities and the
+    terminals. Arc numbers are left out: two builds may number arcs apart."""
+    return (
+        [
+            [(flow.head[arc], flow.cap[arc], arc & 1, arc >= flow.edge_base) for arc in arcs]
+            for arcs in flow.out
+        ],
+        flow.value,
+        [None if arc < 0 else flow.cap[arc] for arc in flow.node_arc],
+        flow.source,
+        flow.sink,
+    )
+
+
+FLOW_BUILD_CASES = {
+    "demo7": demo7_network(),
+    "grid10": grid_network(10),
+    "direct-link": Network.from_links(
+        [("e1", "a", "b"), ("e2", "a", "c"), ("e3", "c", "b"), ("e4", "a", "d"), ("e5", "d", "b")],
+        alice="a", bob="b",
+    ),
+    "disconnected": Network.from_links(
+        [("e1", "a", "c"), ("e2", "c", "d"), ("e3", "x", "b"), ("e4", "x", "y")],
+        alice="a", bob="b",
+    ),
+    "leaf-endpoints": Network.from_links(
+        [("e1", "z", "m"), ("e2", "m", "c"), ("e3", "m", "d"), ("e4", "c", "n"),
+         ("e5", "d", "n"), ("e6", "n", "0")],
+        alice="z", bob="0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOW_BUILD_CASES))
+def test_ordered_flow_build_matches_the_sorted_builder(name):
+    g = FLOW_BUILD_CASES[name]
+    for a, b in ((g.alice, g.bob), (g.bob, g.alice)):
+        assert _flow_lists(_SplitFlow(g, a, b)) == _flow_lists(SortedSplitFlow(g, a, b))
+
+
+def test_ordered_flow_build_matches_the_sorted_builder_on_random_label_relay_graphs():
+    rng = Random(1818)
+    for _ in range(200):
+        g = random_relay_graph(rng, rng.randint(20, 150))
+        a, b = g.alice, g.bob
+        assert _flow_lists(_SplitFlow(g, a, b)) == _flow_lists(SortedSplitFlow(g, a, b))
+
+
+def test_one_network_builds_one_flow_per_endpoint_pair(monkeypatch):
+    rng = Random(77)
+    g = random_relay_graph(rng, 80)
+    fresh = Network(g.nodes, g.edges, g.alice, g.bob)
+    a, b = g.alice, g.bob
+    want_cut = min_vertex_cut(fresh, a, b)
+    want_paths = max_disjoint_paths(fresh, a, b)
+    want_back = max_disjoint_paths(fresh, b, a)
+    want_back_cut = min_vertex_cut(fresh, b, a)
+    assert len(want_paths) >= 2
+
+    built = []
+
+    class CountedFlow(graph_core._SplitFlow):
+        def __init__(self, g, a, b):
+            built.append((a, b))
+            super().__init__(g, a, b)
+
+    monkeypatch.setattr(graph_core, "_SplitFlow", CountedFlow)
+    assert min_strongest_attack(g).nodes == want_cut
+    assert max_disjoint_paths(g, a, b) == want_paths
+    assert max_disjoint_paths(g, a, b) == want_paths
+    assert min_vertex_cut(g, a, b) == want_cut
+    assert built == [(a, b)]
+    assert max_disjoint_paths(g, b, a) == want_back
+    assert min_vertex_cut(g, b, a) == want_back_cut
+    assert built == [(a, b), (b, a)]

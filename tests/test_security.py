@@ -26,6 +26,7 @@ from qkdnet.security import (
     ExchangeTranscript,
     KeyAssignment,
     Scheme,
+    _m0_announcements,
     demo7_network,
     find_secure_path,
     insecure_edges,
@@ -51,6 +52,7 @@ from helpers import (
     mask_connected,
     network_from_mask,
     pair_list,
+    per_node_xors,
     random_relay_graph,
     random_connected_mask,
     scheme_threshold,
@@ -212,6 +214,20 @@ def test_m0_announcement_structure(demo):
     assert tr.announcements["c3"] == bits["k2"] ^ bits["k3"]
     assert tr.alice_key == bits["k1"] ^ bits["k2"]
     assert tr.bob_key == tr.alice_key
+
+
+def test_m0_announcements_match_a_per_node_xor_referee(demo):
+    rng = Random(18)
+    isolated = Network(demo.nodes + ("c9",), demo.edges, demo.alice, demo.bob)
+    graphs = [demo, isolated] + [random_relay_graph(rng, rng.randint(20, 80)) for _ in range(20)]
+    for g in graphs:
+        keys = KeyAssignment.random(g, 64, rng)
+        want = per_node_xors(g, keys)
+        alice_xor, bob_xor = want.pop(g.alice), want.pop(g.bob)
+        announcements, alice_key, bob_key = _m0_announcements(g, keys)
+        assert list(announcements.items()) == list(want.items())
+        assert (alice_key, bob_key) == (alice_xor, bob_xor)
+    assert _m0_announcements(isolated, KeyAssignment.random(isolated, 8, rng))[0]["c9"] == 0
 
 
 @given(st.integers(0, 10_000))
