@@ -8,17 +8,24 @@ All operations are deterministic: neighbor lists are sorted, path enumeration
 is lexicographic in the node sequence, and cut tie-breaks always pick the
 lexicographically smallest witness, so repeated runs produce identical output.
 
-Cuts and disjoint paths share one int-indexed unit-capacity max flow on the
-node-split digraph (Menger's theorem; Edmonds and Karp, JACM 1972). A
-network computes it once per endpoint pair, on first use, and keeps it;
-its arc lists are built in head order, with no sort, and no reader changes
-it. The lexicographically least minimum cut is read off that flow: the minimum
-cuts are the closed sets of its residual graph (Picard and Queyranne, Math.
-Prog. Study 13, 1980), so each candidate node is tested by reachability,
-not by a fresh augmentation. Accepted nodes cost O(m) in all, a rejected
-one at most O(m), so a cut of size k costs O(k*m + n*m) in the worst case.
-Path enumeration prunes every branch that can no longer reach ``b``, so
-the delay between two paths is polynomial.
+Cuts and disjoint paths share one unit-capacity max flow on the node-split
+digraph (Menger's theorem; Edmonds and Karp, JACM 1972). A network computes
+it once per endpoint pair, on first use, and keeps it. An interior node
+carries at most one unit, so the flow is kept as each node's successor and
+predecessor, and the residual graph is read off those links and the
+adjacency; no reader changes it. The lexicographically least minimum cut
+is read off that flow: the minimum cuts are the closed sets of its
+residual graph (Picard and Queyranne, Math. Prog. Study 13, 1980), so each
+candidate node is tested by reachability, not by a fresh augmentation.
+Accepted nodes cost O(m) in all, a rejected one at most O(m), so a cut of
+size k costs O(k*m + n*m) in the worst case.
+Path enumeration keeps the set of nodes that can still reach ``b`` and
+prunes every branch outside it, so the delay between two paths is
+polynomial. A node that joins the trail takes out of that set only the
+pieces it cuts off from ``b``, found by round-robin searches from its
+neighbours: a piece that splits off costs about its own size times the
+number of searches (Even and Shiloach, JACM 1981), and when none does the
+searches stop where they meet.
 """
 
 from __future__ import annotations
@@ -155,16 +162,17 @@ class Network:
         return cls(tuple(nodes), edges, alice, bob)
 
     @cached_property
-    def adjacency(self) -> dict[str, tuple[str, ...]]:
-        adj: dict[str, list[str]] = {n: [] for n in self.nodes}
+    def _links(self) -> dict[str, dict[str, Edge]]:
+        """Each node's neighbours, each mapped to the edge that joins them."""
+        links: dict[str, dict[str, Edge]] = {n: {} for n in self.nodes}
         for e in self.edges:
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
-        return {n: tuple(sorted(vs)) for n, vs in adj.items()}
+            links[e.u][e.v] = e
+            links[e.v][e.u] = e
+        return links
 
     @cached_property
-    def _edge_by_pair(self) -> dict[frozenset[str], Edge]:
-        return {e.pair: e for e in self.edges}
+    def adjacency(self) -> dict[str, tuple[str, ...]]:
+        return {n: tuple(sorted(nbrs)) for n, nbrs in self._links.items()}
 
     @cached_property
     def _flows(self) -> dict[tuple[str, str], "_SplitFlow"]:
@@ -176,7 +184,8 @@ class Network:
             raise UnknownNodeError(f"unknown node {label!r}")
 
     def edge_between(self, u: str, v: str) -> Edge | None:
-        return self._edge_by_pair.get(frozenset((u, v)))
+        nbrs = self._links.get(u)
+        return None if nbrs is None else nbrs.get(v)
 
     def require_endpoints(self) -> tuple[str, str]:
         if self.alice is None or self.bob is None:
@@ -219,35 +228,98 @@ def _removal(g: Network, removed: Iterable[str], a: str, b: str) -> frozenset[st
     return gone
 
 
+def _cut_off(adj: dict[str, tuple[str, ...]], reach: set[str], y: str, b: str) -> tuple[set[str], list[str]]:
+    """Shrink ``reach`` to ``b``'s piece once ``y`` has left it.
+
+    ``reach`` is ``b``'s component less ``y``, so each of its pieces holds a
+    neighbour of ``y``. One search per such neighbour runs, a node at a
+    time, round robin, and searches that meet join one group. A group whose
+    searches have all run out is a whole piece: without ``b`` its nodes
+    leave ``reach`` and are returned; with ``b`` it is returned as a new set
+    and ``reach`` is left as it is. The split stops when one group is left
+    open, so a split costs about the smaller side times the number of
+    searches (Even and Shiloach, JACM 1981); with no split the searches
+    stop where the last two meet.
+    """
+    starts = [u for u in adj[y] if u in reach]
+    k = len(starts)
+    if k < 2:
+        return reach, []
+    owner = {u: i for i, u in enumerate(starts)}
+    group = list(range(k))
+    queues = [[u] for u in starts]
+    done = [0] * k  # how many nodes of each queue have been searched
+    open_groups = k
+    dropped: list[str] = []
+    while True:
+        for i in range(k):
+            queue = queues[i]
+            if done[i] == len(queue):
+                continue
+            x = queue[done[i]]
+            done[i] += 1
+            for z in adj[x]:
+                if z in reach:
+                    j = owner.get(z)
+                    if j is None:
+                        owner[z] = i
+                        queue.append(z)
+                    elif group[j] != group[i]:
+                        gone, kept = group[j], group[i]
+                        group = [kept if grp == gone else grp for grp in group]
+                        open_groups -= 1
+                        if open_groups == 1:
+                            reach.difference_update(dropped)
+                            return reach, dropped
+            if done[i] < len(queue):
+                continue
+            members = [j for j in range(k) if group[j] == group[i]]
+            if any(done[j] < len(queues[j]) for j in members):
+                continue
+            piece = [z for j in members for z in queues[j]]
+            if b in owner and group[owner[b]] == group[i]:
+                return set(piece), []
+            dropped += piece
+            open_groups -= 1
+            if open_groups == 1:
+                reach.difference_update(dropped)
+                return reach, dropped
+
+
 def enumerate_simple_paths(g: Network, a: str, b: str, removed: Iterable[str] = ()) -> Iterator[Path]:
     """Yield every simple ``a`` to ``b`` path that avoids the ``removed`` nodes.
 
     Paths come out in lexicographic order of their node sequences because
-    neighbors are explored in sorted order. Each depth-first step first
-    finds, by one search from ``b`` that avoids the current trail, the
-    nodes that can still reach ``b``, and descends only into those: every
-    descent ends in a path, so the delay between two paths is polynomial.
-    The depth-first search is one loop over an explicit stack, so a path
-    may be as long as the network allows.
+    neighbors are explored in sorted order. The walk keeps one set, the
+    nodes that can still reach ``b``: ``b``'s component without the trail
+    and the removed nodes. It descends only into that set, so every descent
+    ends in a path and the delay between two paths is polynomial. A node
+    that joins the trail leaves the set together with the pieces it cuts
+    off from ``b`` (``_cut_off``), and they come back when it leaves. The
+    depth-first search is one loop over an explicit stack, so a path may be
+    as long as the network allows.
     """
     _require_pair(g, a, b)
     adj = g.adjacency
     # a removed node is blocked like a node on the trail: never entered
-    on_trail = {a, *_removal(g, removed, a, b)}
+    reach = _reach(adj, b, {a, *_removal(g, removed, a, b)})
     # one frame per trail node: the node, its neighbors not yet tried, and
-    # the nodes that could reach b when it joined the trail
-    stack = [(a, iter(adj[a]), _reach(adj, b, on_trail))]
+    # the set and the nodes that restore ``reach`` when it leaves the trail
+    stack = [(a, iter(adj[a]), reach, [])]
     while stack:
-        _, untried, reach = stack[-1]
-        for nxt in untried:
+        for nxt in stack[-1][1]:
             if nxt == b:
-                yield Path(tuple(node for node, _, _ in stack) + (b,))
+                yield Path(tuple(frame[0] for frame in stack) + (b,))
             elif nxt in reach:
-                on_trail.add(nxt)
-                stack.append((nxt, iter(adj[nxt]), _reach(adj, b, on_trail)))
+                reach.discard(nxt)
+                outer = reach
+                reach, dropped = _cut_off(adj, reach, nxt, b)
+                stack.append((nxt, iter(adj[nxt]), outer, dropped))
                 break
         else:
-            on_trail.remove(stack.pop()[0])
+            node, _, reach, dropped = stack.pop()
+            reach.update(dropped)
+            reach.add(node)
 
 
 def disconnects(g: Network, removed: Iterable[str], a: str, b: str) -> bool:
@@ -258,87 +330,103 @@ def disconnects(g: Network, removed: Iterable[str], a: str, b: str) -> bool:
     return b not in _reach(g.adjacency, a, gone)
 
 
+
+
 class _SplitFlow:
     """Unit-capacity ``a`` to ``b`` max flow on the node-split digraph of ``g``.
 
-    Node ``i``, its position in the sorted ``g.nodes``, has in-copy ``2i``
-    and out-copy ``2i + 1``. Each interior node gets a unit arc from its
-    in-copy to its out-copy and each edge direction ``x -> y`` a unit arc
-    ``x_out -> y_in``; arcs out of ``b`` or into ``a`` carry no flow and are
-    left out. So the flow value is the largest number of internally
-    node-disjoint paths. Arc ``e`` and its reverse ``e ^ 1`` are paired in
-    ``head`` and ``cap`` (residual capacity): a forward arc, always even,
-    carries flow iff its ``cap`` is 0. Node arcs come first; edge arcs
-    start at ``edge_base``. Each vertex lists its arcs by head index, which
-    is (label, in/out) order, so the breadth-first searches (Edmonds-Karp)
-    pick the same augmenting paths on every run.
+    Each interior node has an in-copy and an out-copy joined by a unit arc,
+    and each edge direction ``x -> y`` gives a unit arc from ``x``'s
+    out-copy to ``y``'s in-copy; arcs out of ``b`` or into ``a`` carry no
+    flow and are left out. So the flow value is the largest number of
+    internally node-disjoint paths. An interior node carries at most one
+    unit, so the flow is kept as links: ``succ[x]`` and ``pred[x]`` for
+    each interior node ``x`` that carries a unit, and ``firsts``, the nodes
+    ``a`` sends a unit to. A unit may also run round a cycle of interior
+    nodes that joins neither endpoint; those links are kept as well.
 
-    The lists come out in head order as they are built, with no sort: node
-    ``x``'s out-copy takes its edge arcs in the sorted ``g.adjacency[x]``
-    order and its reverse node arc (head ``2x``) at ``x``'s own place among
-    them; an in-copy takes its reverse edge arcs as the loop over ``x``
-    ascends, and its node arc (head ``2x + 1``) when the loop reaches it.
-    ``_max_flow`` builds one per network and endpoint pair and shares it,
-    so its readers leave ``cap`` as the augmentation left it.
+    The residual graph is read off the links and ``g.adjacency``. The
+    out-copy of ``x`` has arcs to the in-copies of its neighbours but
+    ``succ[x]`` (but ``firsts`` at ``a``), in ``g.adjacency[x]`` order, and,
+    when ``x`` carries a unit, back to its own in-copy at ``x``'s place in
+    that order. The in-copy of an interior ``y`` has one arc: to its
+    out-copy when ``y`` carries no unit, else back to ``pred[y]``'s
+    out-copy. So each out-copy is entered by one arc, and a breadth-first
+    search that steps from an in-copy straight on to its out-copy meets the
+    out-copies in the order a search over the whole digraph would. The
+    searches (Edmonds-Karp) then pick the same augmenting paths on every
+    run. ``_max_flow`` builds one per network and endpoint pair and shares
+    it; no reader changes it.
     """
 
     def __init__(self, g: Network, a: str, b: str) -> None:
-        index = {v: i for i, v in enumerate(g.nodes)}
-        ia, ib = index[a], index[b]
-        head: list[int] = []
-        node_arc = self.node_arc = [-1] * len(g.nodes)
-        for i in range(len(g.nodes)):
-            if i != ia and i != ib:
-                node_arc[i] = len(head)
-                head += (2 * i + 1, 2 * i)
-        self.edge_base = len(head)
-        out: list[list[int]] = [[] for _ in range(2 * len(g.nodes))]
-        adjacency = g.adjacency
-        for x, v in enumerate(g.nodes):
-            back = node_arc[x] + 1  # the reverse node arc, or 0 at an endpoint
-            if back:
-                out[2 * x].append(back - 1)
-            if x == ib:
-                continue  # no arc leaves b
-            arcs = out[2 * x + 1]
-            for w in adjacency[v]:
-                y = index[w]
-                if back and y > x:
-                    arcs.append(back)
-                    back = 0
-                if y != ia:  # no arc enters a
-                    out[2 * y].append(len(head) + 1)
-                    arcs.append(len(head))
-                    head += (2 * y, 2 * x + 1)
-            if back:
-                arcs.append(back)
-        self.head, self.out = head, out
-        self.cap = [1, 0] * (len(head) // 2)
-        self.source, self.sink = 2 * ia + 1, 2 * ib
-        self.value = 0
-        while self.augment():
-            self.value += 1
+        self.a, self.b = a, b
+        self.succ: dict[str, str] = {}
+        self.pred: dict[str, str] = {}
+        self.firsts: set[str] = set()
+        adj = g.adjacency
+        while self.augment(adj):
+            pass
+        self.value = len(self.firsts)
 
-    def augment(self) -> bool:
+    def augment(self, adj: dict[str, tuple[str, ...]]) -> bool:
         """Push one unit along a shortest residual path; False if none exists."""
-        head, cap, out, source, sink = self.head, self.cap, self.out, self.source, self.sink
-        via = [-1] * len(out)
-        via[source] = len(head)
-        queue = [source]
+        a, b, succ, pred = self.a, self.b, self.succ, self.pred
+        # each in-copy reached, mapped to the out-copy that reached it; no
+        # arc enters a's in-copy, so it counts as reached
+        into = {a: a}
+        queue = []  # out-copies past a's, each queued as its in-copy is reached
+        for y in adj[a]:
+            if y not in self.firsts:
+                if y == b:
+                    self._push(a, into)
+                    return True
+                into[y] = a
+                queue.append(pred.get(y, y))  # pred[y] is not a: y is not in firsts
         for x in queue:
-            for arc in out[x]:
-                y = head[arc]
-                if cap[arc] and via[y] < 0:
-                    via[y] = arc
-                    if y == sink:
-                        while y != source:
-                            arc = via[y]
-                            cap[arc] -= 1
-                            cap[arc ^ 1] += 1
-                            y = head[arc ^ 1]
-                        return True
-                    queue.append(y)
+            s = succ.get(x)
+            back = s is not None  # x carries a unit: the arc back to its in-copy is live
+            for y in adj[x]:
+                if back and y > x:
+                    back = False
+                    if x not in into:
+                        into[x] = x
+                        if pred[x] != a:
+                            queue.append(pred[x])
+                if y == s or y in into:
+                    continue
+                if y == b:
+                    self._push(x, into)
+                    return True
+                into[y] = x
+                z = pred.get(y, y)
+                if z != a:
+                    queue.append(z)
+            if back and x not in into:
+                into[x] = x
+                if pred[x] != a:
+                    queue.append(pred[x])
         return False
+
+    def _push(self, x: str, into: dict[str, str]) -> None:
+        """Carry a unit along the path the search found, from ``x``'s
+        out-copy into ``b``, walking back to ``a``."""
+        a, b, succ, pred = self.a, self.b, self.succ, self.pred
+        y = b
+        while True:
+            if x == y:  # back over x's node arc: x stops carrying a unit
+                y = succ.pop(x)
+                del pred[x]
+            else:
+                if y != b:
+                    pred[y] = x
+                if x == a:
+                    self.firsts.add(y)
+                    return
+                # x's out-copy was reached from its own in-copy, or back
+                # from the in-copy of its old successor
+                y, succ[x] = succ.get(x, x), y
+            x = into[y]
 
 
 def _max_flow(g: Network, a: str, b: str) -> _SplitFlow:
@@ -348,6 +436,42 @@ def _max_flow(g: Network, a: str, b: str) -> _SplitFlow:
     if flow is None:
         flow = g._flows[a, b] = _SplitFlow(g, a, b)
     return flow
+
+
+def _spread(
+    adj: dict[str, tuple[str, ...]],
+    step: dict[str, str],
+    root: str,
+    wide: set[str],
+    narrow: set[str],
+    known_wide: Container[str] = (),
+    known_narrow: Container[str] = (),
+    halt: str | None = None,
+) -> bool:
+    """Grow a search of a flow's residual graph with its edge arcs uncapped.
+
+    Forward, ``step`` is the flow's ``pred``, a node's wide copy is its
+    out-copy and its narrow copy its in-copy; backward (the copies that
+    reach a copy), ``step`` is ``succ`` and the roles swap. The wide copy of
+    ``x`` leads to the narrow copies of its neighbours, and of ``x`` itself
+    when ``x`` carries a unit; the narrow copy of ``y`` leads to the wide
+    copy of ``step.get(y, y)`` alone. The search starts at the wide copy of
+    ``root``, already in ``wide``; it adds the copies it reaches outside the
+    ``known`` ones to ``wide`` and ``narrow``, and returns False once it
+    reaches the wide copy of ``halt``.
+    """
+    queue = [root]
+    for x in queue:
+        for y in adj[x] + (x,) if x in step else adj[x]:
+            if y not in narrow and y not in known_narrow:
+                narrow.add(y)
+                z = step.get(y, y)
+                if z not in wide and z not in known_wide:
+                    if z == halt:
+                        return False
+                    wide.add(z)
+                    queue.append(z)
+    return True
 
 
 def min_vertex_cut(g: Network, a: str, b: str) -> frozenset[str]:
@@ -362,60 +486,50 @@ def min_vertex_cut(g: Network, a: str, b: str) -> frozenset[str]:
     still a max flow, and its minimum cuts are the node-arc sets leaving a
     closed set of the residual graph that holds the source and not the sink
     (Picard and Queyranne, Math. Prog. Study 13, 1980). Each interior node
-    ``i``, in label order, joins the cut iff some minimum cut extends the
-    chosen nodes and ``i``: iff the least closed set holding the source and
-    the in-copies of the chosen nodes and ``i`` misses the sink and their
+    ``v``, in label order, joins the cut iff some minimum cut extends the
+    chosen nodes and ``v``: iff the least closed set holding the source and
+    the in-copies of the chosen nodes and ``v`` misses the sink and their
     out-copies. That set is the union of their reach sets. So with ``S``
-    the vertices the source or a chosen in-copy reaches, and ``F`` those
-    that reach the sink or a chosen out-copy, ``i`` joins iff ``2i`` is not
-    in ``F``, ``2i + 1`` is not in ``S`` and ``2i`` does not reach
-    ``2i + 1``. Accepted nodes grow ``S`` and ``F`` by O(m) over the whole
-    cut; a rejected node costs at most one search from ``2i``, which stops
-    at ``2i + 1``. The worst case is O(k*m + n*m).
+    the copies the source or a chosen in-copy reaches, and ``F`` those that
+    reach the sink or a chosen out-copy, ``v`` joins iff its in-copy is not
+    in ``F``, its out-copy is not in ``S`` and its in-copy does not reach
+    its out-copy. Accepted nodes grow ``S`` and ``F`` by O(m) over the whole
+    cut; a rejected node costs at most one search from its in-copy, which
+    stops at its out-copy. The worst case is O(k*m + n*m).
     """
     _require_pair(g, a, b)
     if g.edge_between(a, b) is not None:
         raise DirectLinkError(f"{a!r} and {b!r} share a direct edge; no interior cut exists")
     flow = _max_flow(g, a, b)
-    head, out, cap = flow.head, flow.out, flow.cap
-    # the residual graph with edge arcs uncapped: every forward edge arc,
-    # and any other arc with capacity left
-    live = [c or arc >= flow.edge_base and not arc & 1 for arc, c in enumerate(cap)]
-
-    def grow(root: int, known: set[int], back: int = 0, halt: int = -1) -> set[int] | None:
-        """The vertices outside ``known`` that ``root`` reaches (that reach
-        ``root`` if ``back``), or None once ``halt`` is one of them."""
-        found = {root}
-        queue = [root]
-        for x in queue:
-            for arc in out[x]:
-                y = head[arc]
-                if live[arc ^ back] and y not in known and y not in found:
-                    if y == halt:
-                        return None
-                    found.add(y)
-                    queue.append(y)
-        return found
-
-    S = grow(flow.source, set())
-    F = grow(flow.sink, set(), back=1)
+    adj, succ, pred = g.adjacency, flow.succ, flow.pred
+    s_out, s_in = {a}, set()  # S: searched forward, out-copies are wide
+    _spread(adj, pred, a, s_out, s_in)
+    f_in, f_out = {b}, set()  # F: searched backward, in-copies are wide
+    _spread(adj, succ, b, f_in, f_out)
     chosen: list[str] = []
     need = flow.value
-    for i, v in enumerate(g.nodes):
+    for v in g.nodes:
         if need == 0:
             break
-        node = flow.node_arc[i]
-        # F is closed backwards, so when 2i is not in F nothing 2i reaches
-        # is; an unused node arc means 2i reaches 2i + 1 at once
-        if node < 0 or cap[node] or 2 * i in F or 2 * i + 1 in S:
+        # F is closed backwards, so when v's in-copy is not in F nothing it
+        # reaches is; a node carrying no unit reaches its out-copy at once
+        if v not in pred or v in f_in or v in s_out:
             continue
-        reached = grow(2 * i, S, halt=2 * i + 1)
-        if reached is None:
-            continue
-        # S | reached is closed and misses 2i + 1, so nothing in it reaches
-        # 2i + 1: the new F stays disjoint from the new S
-        S |= reached
-        F |= grow(2 * i + 1, F, back=1)
+        # v's in-copy has one arc, back to pred[v]'s out-copy
+        wide, narrow = set(), {v}
+        if pred[v] not in s_out:
+            wide.add(pred[v])
+            if not _spread(adj, pred, pred[v], wide, narrow, s_out, s_in, halt=v):
+                continue
+        # S with what v's in-copy reaches is closed and misses v's out-copy,
+        # so nothing in it reaches that out-copy: the new F stays disjoint
+        # from the new S. v's out-copy is reached back from succ[v]'s in-copy.
+        s_out |= wide
+        s_in |= narrow
+        f_out.add(v)
+        if succ[v] not in f_in:
+            f_in.add(succ[v])
+            _spread(adj, succ, succ[v], f_in, f_out)
         chosen.append(v)
         need -= 1
     if need != 0:  # cannot happen: the greedy always completes a minimum cut
@@ -428,22 +542,18 @@ def max_disjoint_paths(g: Network, a: str, b: str) -> tuple[Path, ...]:
 
     A direct edge, when present, contributes the two-node path. With no
     direct edge the family size equals ``len(min_vertex_cut(g, a, b))``.
+    The paths follow the flow's links from each of ``a``'s first hops in
+    label order, so they come out sorted.
     """
     _require_pair(g, a, b)
     flow = _max_flow(g, a, b)
-    head, out = flow.head, flow.out
-    cap = flow.cap.copy()  # the walk spends flow; the shared flow stays whole
+    succ = flow.succ
     paths = []
-    for _ in range(flow.value):
-        y = flow.source
+    for y in sorted(flow.firsts):
         trail = [a]
-        while y != flow.sink:
-            # arc lists are sorted by head, so the first flow arc is the
-            # lexicographically smallest next hop
-            arc = next(arc for arc in out[y] if not arc & 1 and not cap[arc])
-            cap[arc] = 1
-            y = head[arc]
-            if not y & 1:
-                trail.append(g.nodes[y >> 1])
+        while y != b:
+            trail.append(y)
+            y = succ[y]
+        trail.append(b)
         paths.append(Path(tuple(trail)))
-    return tuple(sorted(paths, key=lambda p: p.nodes))
+    return tuple(paths)

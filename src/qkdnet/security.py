@@ -139,10 +139,14 @@ class KeyAssignment:
         return cls(n_bits, {e.id: rng.getrandbits(n_bits) for e in g.edges})
 
     def validate(self, g: Network) -> None:
-        have = set(self.bits)
-        want = {e.id for e in g.edges}
-        if have != want:
-            raise ValueError(f"key assignment covers {sorted(have)} but edges are {sorted(want)}")
+        """Check there is one key per edge; name the missing and unknown ids."""
+        bits = self.bits
+        if len(bits) == len(g.edges) and all(e.id in bits for e in g.edges):
+            return  # edge ids are distinct, so the ids match
+        ids = {e.id for e in g.edges}
+        missing = sorted(ids.difference(bits))
+        unknown = sorted(bits.keys() - ids)
+        raise ValueError(f"key assignment does not match the edges: missing {missing}, unknown {unknown}")
 
     def __getitem__(self, edge_id: str) -> int:
         return self.bits[edge_id]
@@ -175,7 +179,7 @@ class ExchangeTranscript:
 
         Keys of edges between two uncompromised nodes never appear here.
         """
-        return _eve_view(self.network, self.announcements, self.keys, attack)
+        return _eve_view(self.network, self.announcements, self.keys.bits, attack)
 
     def to_text(self) -> str:
         width = max(1, (self.n_bits + 3) // 4)
@@ -190,13 +194,14 @@ class ExchangeTranscript:
 def insecure_edges(g: Network, attack: "AttackSet | Iterable[str]") -> frozenset[str]:
     """Ids of edges whose key the eavesdropper learns outright."""
     gone = _removal(g, attack, g.alice, g.bob)
-    return frozenset(e.id for e in g.edges if e.u in gone or e.v in gone)
+    links = g._links
+    return frozenset(e.id for v in gone for e in links[v].values())
 
 
 def _eve_view(
     g: Network,
     announcements: dict[str, int],
-    keys: KeyAssignment | dict[str, int],
+    keys: dict[str, int],
     attack: "AttackSet | Iterable[str]",
 ) -> dict[str, int]:
     """Every announcement, plus ``key:<edge>`` for each edge touching the attack."""
@@ -236,7 +241,7 @@ def _multipath_announcements(
     hops: tuple[tuple[Edge, ...], ...],
     message: int,
     coins: list[int],
-    keys: KeyAssignment | dict[str, int],
+    keys: dict[str, int],
 ) -> dict[str, int]:
     """``p<i>:<edge>``: path ``i``'s share XOR the key of each of its hops.
 
@@ -250,9 +255,7 @@ def _multipath_announcements(
     }
 
 
-def _m0_announcements(
-    g: Network, keys: KeyAssignment | dict[str, int]
-) -> tuple[dict[str, int], int, int]:
+def _m0_announcements(g: Network, keys: dict[str, int]) -> tuple[dict[str, int], int, int]:
     """Each relay's XOR of its incident edge keys, then alice's and bob's.
 
     One pass over the edges: each key joins the XOR of both its ends.
@@ -287,9 +290,10 @@ def multipath_exchange(
     if not 0 <= message < (1 << keys.n_bits):
         raise ValueError(f"message out of range for {keys.n_bits} bits")
     coins = [rng.getrandbits(keys.n_bits) for _ in hops[1:]]
-    announcements = _multipath_announcements(hops, message, coins, keys)
+    bits = keys.bits
+    announcements = _multipath_announcements(hops, message, coins, bits)
     recovered = _xor_all(
-        announcements[f"p{i}:{path[-1].id}"] ^ keys[path[-1].id] for i, path in enumerate(hops)
+        announcements[f"p{i}:{path[-1].id}"] ^ bits[path[-1].id] for i, path in enumerate(hops)
     )
     if recovered != message:  # pure XOR algebra; cannot fail
         raise AssertionError("share reassembly mismatch")
@@ -316,7 +320,7 @@ def m0_exchange(g: Network, keys: KeyAssignment) -> ExchangeTranscript:
     keys.validate(g)
     if disconnects(g, (), alice, bob):
         raise ValueError("alice and bob are in different components; exchange impossible")
-    announcements, alice_key, bob_xor = _m0_announcements(g, keys)
+    announcements, alice_key, bob_xor = _m0_announcements(g, keys.bits)
     bob_key = _xor_all(announcements.values()) ^ bob_xor
     if alice_key != bob_key:  # every non-alice key cancels pairwise; cannot fail
         raise AssertionError("announcement cancellation mismatch")

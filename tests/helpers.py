@@ -15,7 +15,7 @@ from random import Random
 import numpy as np
 from scipy.optimize import linprog
 
-from qkdnet.graph_core import DirectLinkError, Edge, Network, Path, _SplitFlow
+from qkdnet.graph_core import DirectLinkError, Edge, Network, Path
 from qkdnet.scheduler import (
     DriftAudit,
     LinkParams,
@@ -297,23 +297,25 @@ def dict_flow_disjoint_paths(g: Network, a: str, b: str) -> tuple[Path, ...]:
     return tuple(sorted(paths, key=lambda p: p.nodes))
 
 
-class SortedSplitFlow(_SplitFlow):
-    """``_SplitFlow`` with its arc lists built the plain way: every arc
+class SortedSplitFlow:
+    """Edmonds-Karp on the int-indexed node-split digraph, built the plain
 
-    numbered in edge-id order, appended to its tail's list, and each list
-    sorted by head afterwards. The augmentation is inherited, so any
-    difference from ``_SplitFlow`` comes from the order of the lists: the
-    referee for the build in head order.
+    way: node ``i`` (its place in ``g.nodes``) has in-copy ``2i`` and
+    out-copy ``2i + 1``; every arc is numbered in edge-id order, paired with
+    its reverse ``arc ^ 1`` in ``head`` and ``cap`` (residual capacity), and
+    appended to its tail's list, and each list is sorted by head afterwards.
+    Each search scans those lists, so it meets arcs in the same head order
+    as ``_SplitFlow`` reads them off its links: the referee for the flow
+    ``_SplitFlow`` finds.
     """
 
     def __init__(self, g: Network, a: str, b: str) -> None:
+        self.nodes = g.nodes
         index = {v: i for i, v in enumerate(g.nodes)}
         ia, ib = index[a], index[b]
         head: list[int] = []
-        self.node_arc = [-1] * len(g.nodes)
         for i in range(len(g.nodes)):
             if i != ia and i != ib:
-                self.node_arc[i] = len(head)
                 head += (2 * i + 1, 2 * i)
         self.edge_base = len(head)
         for e in g.edges:
@@ -331,6 +333,35 @@ class SortedSplitFlow(_SplitFlow):
         self.value = 0
         while self.augment():
             self.value += 1
+
+    def augment(self) -> bool:
+        """Push one unit along a shortest residual path; False if none exists."""
+        head, cap, out, source, sink = self.head, self.cap, self.out, self.source, self.sink
+        via = [-1] * len(out)
+        via[source] = len(head)
+        queue = [source]
+        for x in queue:
+            for arc in out[x]:
+                y = head[arc]
+                if cap[arc] and via[y] < 0:
+                    via[y] = arc
+                    if y == sink:
+                        while y != source:
+                            arc = via[y]
+                            cap[arc] -= 1
+                            cap[arc ^ 1] += 1
+                            y = head[arc ^ 1]
+                        return True
+                    queue.append(y)
+        return False
+
+    def carried(self) -> set[tuple[str, str]]:
+        """The edge directions ``(x, y)`` that carry a unit."""
+        return {
+            (self.nodes[self.head[arc ^ 1] >> 1], self.nodes[self.head[arc] >> 1])
+            for arc in range(self.edge_base, len(self.head), 2)
+            if not self.cap[arc]
+        }
 
 
 def per_node_xors(g: Network, keys) -> dict[str, int]:

@@ -121,6 +121,13 @@ def test_paths_match_brute_on_all_small_graphs():
             assert got == list(backtracking_simple_paths(g, "n0", f"n{n - 1}")), (n, mask)
 
 
+def _without(g: Network, gone) -> Network:
+    return Network(
+        tuple(v for v in g.nodes if v not in gone),
+        tuple(e for e in g.edges if e.u not in gone and e.v not in gone),
+    )
+
+
 def test_paths_avoiding_removed_nodes_match_the_subgraph_on_small_graphs():
     """Removing nodes up front equals enumerating the graph without them."""
     for n in (4, 5):
@@ -128,12 +135,61 @@ def test_paths_avoiding_removed_nodes_match_the_subgraph_on_small_graphs():
             g = network_from_mask(n, mask)
             a, b = "n0", f"n{n - 1}"
             for gone in ({"n1"}, {"n2"}, {"n1", "n2"}):
-                sub = Network(
-                    tuple(v for v in g.nodes if v not in gone),
-                    tuple(e for e in g.edges if e.u not in gone and e.v not in gone),
-                )
-                want = list(backtracking_simple_paths(sub, a, b))
+                want = list(backtracking_simple_paths(_without(g, gone), a, b))
                 assert list(enumerate_simple_paths(g, a, b, gone)) == want, (n, mask, gone)
+
+
+@settings(max_examples=300)
+@given(st.integers(3, 10), st.floats(0.1, 0.7), st.floats(0.0, 0.4), st.randoms(use_true_random=False))
+def test_paths_match_the_backtracking_referee_on_random_labelled_graphs(n, p, q, rng):
+    """Random labels, densities and removed sets, disconnected endpoints included."""
+    names = [f"v{k}" for k in rng.sample(range(n), n)]
+    links = [(f"e{i}_{j}", names[i], names[j]) for i, j in pair_list(n) if rng.random() < p]
+    g = Network.from_links(links, extra_nodes=names)
+    a, b = names[0], names[-1]
+    gone = {v for v in names[1:-1] if rng.random() < q}
+    want = list(backtracking_simple_paths(_without(g, gone), a, b))
+    assert list(enumerate_simple_paths(g, a, b, gone)) == want
+
+
+# Each case: links, the trail node that leaves the reach set, the reach set
+# before it leaves (b's component without a), and the set after it.
+CUT_OFF_CASES = {
+    # y's neighbours u and w still meet through b
+    "no-split": (
+        [("e1", "a", "y"), ("e2", "y", "u"), ("e3", "y", "w"), ("e4", "u", "b"), ("e5", "w", "b")],
+        "y", {"y", "u", "w", "b"}, {"u", "w", "b"},
+    ),
+    # the pendant p1-p2 runs out first and is dropped; u still holds b
+    "small-piece-dropped": (
+        [("e1", "a", "y"), ("e2", "y", "p1"), ("e3", "p1", "p2"), ("e4", "y", "u"), ("e5", "u", "b"),
+         ("e6", "u", "v"), ("e7", "v", "w"), ("e8", "w", "b"), ("e9", "w", "x")],
+        "y", {"y", "p1", "p2", "u", "v", "w", "x", "b"}, {"u", "v", "w", "x", "b"},
+    ),
+    # b hangs off y alone, so its search runs out at once, before the
+    # search through the ring c1-c2-c3-c4
+    "bob-finishes-first": (
+        [("e1", "a", "y"), ("e2", "y", "b"), ("e3", "y", "c1"), ("e4", "c1", "c2"), ("e5", "c2", "c3"),
+         ("e6", "c3", "c4"), ("e7", "c4", "c1"), ("e8", "a", "c3")],
+        "y", {"y", "b", "c1", "c2", "c3", "c4"}, {"b"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUT_OFF_CASES))
+def test_cut_off_keeps_bobs_piece_and_the_walk_matches_the_referee(name):
+    links, y, before, after = CUT_OFF_CASES[name]
+    g = Network.from_links(links)
+    reach = set(before)
+    reach.discard(y)
+    kept, dropped = graph_core._cut_off(g.adjacency, reach, y, "b")
+    assert kept == after
+    if name == "bob-finishes-first":  # a new set; the old one stays whole for the way back
+        assert kept is not reach and reach == before - {y} and dropped == []
+    else:
+        assert kept is reach and set(dropped) == before - {y} - after
+    want = list(backtracking_simple_paths(g, "a", "b"))
+    assert list(enumerate_simple_paths(g, "a", "b")) == want
 
 
 def test_paths_removing_an_endpoint_or_unknown_node_rejected():
@@ -253,13 +309,7 @@ CIRCULATION_LINKS = [
 def test_min_cut_skips_a_candidate_on_a_flow_circulation():
     g = Network.from_links(CIRCULATION_LINKS, alice="r049", bob="r066")
     flow = _SplitFlow(g, "r049", "r066")
-    x, y = g.nodes.index("r081"), g.nodes.index("r020")
-    carried = {
-        (flow.head[arc ^ 1], flow.head[arc])
-        for arc in range(0, len(flow.head), 2)
-        if not flow.cap[arc]
-    }
-    assert {(2 * x + 1, 2 * y), (2 * y + 1, 2 * x)} <= carried
+    assert flow.succ["r081"] == "r020" and flow.succ["r020"] == "r081"
     expected = frozenset({"r008", "r077"})
     assert brute_min_vertex_cut(g, "r049", "r066") == expected
     assert rerun_min_vertex_cut(g, "r049", "r066") == expected
@@ -461,23 +511,12 @@ def test_results_are_deterministic():
     assert max_disjoint_paths(g, "a", "b") == max_disjoint_paths(g, "a", "b")
 
 
-# -- one max flow per network, built in head order ------------------------------
+# -- one max flow per network, kept as links ------------------------------------
 
 
-def _flow_lists(flow):
-    """Each vertex's arcs in order, as head, residual capacity, reverse or
-    not, edge arc or not; then the value, the node arcs' capacities and the
-    terminals. Arc numbers are left out: two builds may number arcs apart."""
-    return (
-        [
-            [(flow.head[arc], flow.cap[arc], arc & 1, arc >= flow.edge_base) for arc in arcs]
-            for arcs in flow.out
-        ],
-        flow.value,
-        [None if arc < 0 else flow.cap[arc] for arc in flow.node_arc],
-        flow.source,
-        flow.sink,
-    )
+def _carried(flow):
+    """The edge directions ``(x, y)`` that carry a unit of a ``_SplitFlow``."""
+    return set(flow.succ.items()) | {(flow.a, y) for y in flow.firsts}
 
 
 FLOW_BUILD_CASES = {
@@ -501,9 +540,12 @@ FLOW_BUILD_CASES = {
 
 @pytest.mark.parametrize("name", sorted(FLOW_BUILD_CASES))
 def test_ordered_flow_build_matches_the_sorted_builder(name):
+    """The links carry the edges the arc-list Edmonds-Karp carries, with
+    the endpoints either way round."""
     g = FLOW_BUILD_CASES[name]
     for a, b in ((g.alice, g.bob), (g.bob, g.alice)):
-        assert _flow_lists(_SplitFlow(g, a, b)) == _flow_lists(SortedSplitFlow(g, a, b))
+        flow, referee = _SplitFlow(g, a, b), SortedSplitFlow(g, a, b)
+        assert (_carried(flow), flow.value) == (referee.carried(), referee.value)
 
 
 def test_ordered_flow_build_matches_the_sorted_builder_on_random_label_relay_graphs():
@@ -511,7 +553,8 @@ def test_ordered_flow_build_matches_the_sorted_builder_on_random_label_relay_gra
     for _ in range(200):
         g = random_relay_graph(rng, rng.randint(20, 150))
         a, b = g.alice, g.bob
-        assert _flow_lists(_SplitFlow(g, a, b)) == _flow_lists(SortedSplitFlow(g, a, b))
+        flow, referee = _SplitFlow(g, a, b), SortedSplitFlow(g, a, b)
+        assert (_carried(flow), flow.value) == (referee.carried(), referee.value)
 
 
 def test_one_network_builds_one_flow_per_endpoint_pair(monkeypatch):

@@ -47,6 +47,7 @@ from helpers import (
     canonical_mask,
     connected_masks,
     enumerate_oracle,
+    grid_network,
     hit_count_sec,
     interior_subsets,
     mask_connected,
@@ -191,6 +192,18 @@ def test_secure_path_on_150_random_label_relays_is_fast():
         path.edges_in(g)
 
 
+def test_secure_path_on_a_100x100_grid_is_fast():
+    """The least path snakes row by row through 9,901 of the 10,000 nodes.
+    It takes about 0.1 s on a 2-CPU x86 host; one search from bob per trail
+    node took about 16 s."""
+    g = grid_network(100)
+    t0 = time.perf_counter()
+    path = find_secure_path(g, [])
+    assert time.perf_counter() - t0 < 1.0
+    assert (len(path.nodes), path.nodes[:3], path.nodes[-1]) == (9901, ("g0_0", "g0_1", "g0_2"), "g99_99")
+    path.edges_in(g)
+
+
 def test_scheme_threshold(demo_scheme):
     assert scheme_threshold(demo_scheme) == 2
     assert scheme_threshold(Scheme.of(["a", "c1", "c2", "b"])) == 1
@@ -224,10 +237,10 @@ def test_m0_announcements_match_a_per_node_xor_referee(demo):
         keys = KeyAssignment.random(g, 64, rng)
         want = per_node_xors(g, keys)
         alice_xor, bob_xor = want.pop(g.alice), want.pop(g.bob)
-        announcements, alice_key, bob_key = _m0_announcements(g, keys)
+        announcements, alice_key, bob_key = _m0_announcements(g, keys.bits)
         assert list(announcements.items()) == list(want.items())
         assert (alice_key, bob_key) == (alice_xor, bob_xor)
-    assert _m0_announcements(isolated, KeyAssignment.random(isolated, 8, rng))[0]["c9"] == 0
+    assert _m0_announcements(isolated, KeyAssignment.random(isolated, 8, rng).bits)[0]["c9"] == 0
 
 
 @given(st.integers(0, 10_000))
@@ -287,6 +300,22 @@ def test_key_assignment_validation(demo):
     partial = KeyAssignment(4, {"k1": 3})
     with pytest.raises(ValueError):
         partial.validate(demo)
+
+
+def test_key_assignment_mismatch_names_only_the_differing_ids(demo):
+    bits = {e.id: 1 for e in demo.edges if e.id not in ("k2", "k7")}
+    bits["x1"] = bits["k10"] = 0
+    keys = KeyAssignment(1, bits)
+    with pytest.raises(ValueError) as err:
+        keys.validate(demo)
+    assert str(err.value) == (
+        "key assignment does not match the edges: missing ['k2', 'k7'], unknown ['k10', 'x1']"
+    )
+    # equal sizes, so only the ids can tell the assignment apart
+    swapped = KeyAssignment(1, {("x1" if e.id == "k2" else e.id): 0 for e in demo.edges})
+    with pytest.raises(ValueError, match=r"missing \['k2'\], unknown \['x1'\]"):
+        swapped.validate(demo)
+    KeyAssignment(1, {e.id: 0 for e in demo.edges}).validate(demo)
 
 
 def test_eve_view_never_contains_clean_keys(demo, demo_scheme):
