@@ -84,13 +84,27 @@ def _label(value: Any, what: str) -> str:
     return str(value)
 
 
+def _split_attack(text: str) -> list[str]:
+    """The labels of a comma separated attack, as ``--attack`` and
+    ``security.attack`` take it: empty parts are dropped."""
+    return [s for s in text.split(",") if s]
+
+
 def _labels(value: Any, what: str) -> list[str]:
-    """A list of labels, or one string of comma separated labels as the flags take."""
+    """A list of labels, or one string of comma separated labels as ``--path`` takes."""
     if isinstance(value, str):
         return value.split(",")
     if not isinstance(value, list):
         raise ConfigError(f"{what} must be a node label or a list of labels, got {value!r}")
     return [_label(v, what) for v in value]
+
+
+def _flag_int(text: str, flag: str, base: int = 10) -> int:
+    """``text``, a value of ``flag`` that argparse leaves as a string, as an integer."""
+    try:
+        return int(text, base)
+    except ValueError:
+        raise ConfigError(f"{flag} takes integers, got {text!r}") from None
 
 
 def _number(value: Any, what: str, integer: bool = False) -> int | float:
@@ -175,10 +189,14 @@ def _load_config(args: argparse.Namespace) -> _Config:
         raise ConfigError(f"schedule.tie_mode must be random or lexicographic, got {schedule['tie_mode']!r}")
     seed = 0 if doc.get("seed") is None else _number(doc["seed"], "seed", integer=True)
     n_bits = 16 if security.get("n_bits") is None else _number(security["n_bits"], "security.n_bits", integer=True)
-    labels = [] if security.get("attack") is None else _labels(security["attack"], "security.attack")
+    raw_attack = security.get("attack")
+    if isinstance(raw_attack, str):
+        labels = _split_attack(raw_attack)
+    else:
+        labels = [] if raw_attack is None else _labels(raw_attack, "security.attack")
     routes = [_labels(p, "security.paths entries") for p in _shaped(security, "paths", list, "security.paths")]
     if getattr(args, "attack", None):
-        labels = [s for part in args.attack for s in part.split(",") if s]
+        labels = _split_attack(",".join(args.attack))
     if getattr(args, "path", None):
         routes = [p.split(",") for p in args.path]
 
@@ -281,7 +299,7 @@ def _cmd_exchange(cfg: _Config, args: argparse.Namespace) -> int:
         if scheme is None:
             raise ConfigError("multipath exchange needs security.paths (or --path)")
         if args.message is not None:
-            message = int(args.message, 0)
+            message = _flag_int(args.message, "--message", 0)
         else:
             message = rng.getrandbits(n_bits)
         transcript = multipath_exchange(g, scheme, message, keys, rng)
@@ -385,12 +403,12 @@ def _cmd_sweep(cfg: _Config, args: argparse.Namespace) -> int:
     R_max = _sched_value(cfg, args, "R_max", "r_max")
     T = _sched_value(cfg, args, "T", "horizon")
     if args.v_values:
-        v_values = [int(s) for s in args.v_values.split(",")]
+        v_values = [_flag_int(s, "--v-values") for s in args.v_values.split(",")]
     else:
         v_values = cfg.schedule.get("V_values")
         if not v_values:
             raise ConfigError("sweep needs --v-values or schedule.V_values")
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.seed]
+    seeds = [_flag_int(s, "--seeds") for s in args.seeds.split(",")] if args.seeds else [cfg.seed]
     tie_mode = args.tie_mode or cfg.schedule.get("tie_mode") or "random"
     try:
         rows = v_sweep(cfg.network, commodities, R_max, T, v_values, seeds, tie_mode)

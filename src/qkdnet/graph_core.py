@@ -12,11 +12,13 @@ Cuts and disjoint paths share one unit-capacity max flow on the node-split
 digraph (Menger's theorem; Edmonds and Karp, JACM 1972). A network computes
 it once per endpoint pair, on first use, and keeps it. An interior node
 carries at most one unit, so the flow is kept as each node's successor and
-predecessor, and the residual graph is read off those links and the
-adjacency; no reader changes it. The lexicographically least minimum cut
-is read off that flow: the minimum cuts are the closed sets of its
-residual graph (Picard and Queyranne, Math. Prog. Study 13, 1980), so each
-candidate node is tested by reachability, not by a fresh augmentation.
+predecessor; no reader changes it. Its residual graph, with edge arcs
+uncapped, is read off those links and the adjacency, and one search over
+it (``_spread``) both grows the flow, a shortest augmenting path at a
+time, and tests the cut. The lexicographically least minimum cut is read
+off that flow: the minimum cuts are the closed sets of its residual graph
+(Picard and Queyranne, Math. Prog. Study 13, 1980), so each candidate
+node is tested by reachability, not by a fresh augmentation.
 Accepted nodes cost O(m) in all, a rejected one at most O(m), so a cut of
 size k costs O(k*m + n*m) in the worst case.
 Path enumeration keeps the set of nodes that can still reach ``b`` and
@@ -30,6 +32,7 @@ searches stop where they meet.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Container, Iterable, Iterator
@@ -345,18 +348,16 @@ class _SplitFlow:
     ``a`` sends a unit to. A unit may also run round a cycle of interior
     nodes that joins neither endpoint; those links are kept as well.
 
-    The residual graph is read off the links and ``g.adjacency``. The
-    out-copy of ``x`` has arcs to the in-copies of its neighbours but
-    ``succ[x]`` (but ``firsts`` at ``a``), in ``g.adjacency[x]`` order, and,
-    when ``x`` carries a unit, back to its own in-copy at ``x``'s place in
-    that order. The in-copy of an interior ``y`` has one arc: to its
-    out-copy when ``y`` carries no unit, else back to ``pred[y]``'s
-    out-copy. So each out-copy is entered by one arc, and a breadth-first
-    search that steps from an in-copy straight on to its out-copy meets the
-    out-copies in the order a search over the whole digraph would. The
-    searches (Edmonds-Karp) then pick the same augmenting paths on every
-    run. ``_max_flow`` builds one per network and endpoint pair and shares
-    it; no reader changes it.
+    Each round a ``_spread`` search from ``a`` finds a shortest augmenting
+    path (Edmonds-Karp) and ``_push`` carries a unit along it. The search
+    leaves edge arcs uncapped, which adds only an arc along each carried
+    edge ``x -> y``. An interior ``x``'s out-copy is entered only back from
+    ``y``'s in-copy, and that in-copy leads back to ``x``'s out-copy alone,
+    so the added arc reaches nothing new and the same edges are carried as
+    with unit edge arcs. A direct ``a``-``b`` edge is the one exception: it
+    carries its unit up front and the searches leave it out. ``_max_flow``
+    builds one flow per network and endpoint pair and shares it; no reader
+    changes it.
     """
 
     def __init__(self, g: Network, a: str, b: str) -> None:
@@ -365,48 +366,14 @@ class _SplitFlow:
         self.pred: dict[str, str] = {}
         self.firsts: set[str] = set()
         adj = g.adjacency
-        while self.augment(adj):
-            pass
+        if g.edge_between(a, b) is not None:
+            # the first search would find it, and uncapped it would carry
+            # every later unit too
+            self.firsts.add(b)
+            adj = {**adj, a: tuple(y for y in adj[a] if y != b)}
+        while not _spread(adj, self.pred, a, {a}, into := {}, halt=b):
+            self._push(into[b], into)
         self.value = len(self.firsts)
-
-    def augment(self, adj: dict[str, tuple[str, ...]]) -> bool:
-        """Push one unit along a shortest residual path; False if none exists."""
-        a, b, succ, pred = self.a, self.b, self.succ, self.pred
-        # each in-copy reached, mapped to the out-copy that reached it; no
-        # arc enters a's in-copy, so it counts as reached
-        into = {a: a}
-        queue = []  # out-copies past a's, each queued as its in-copy is reached
-        for y in adj[a]:
-            if y not in self.firsts:
-                if y == b:
-                    self._push(a, into)
-                    return True
-                into[y] = a
-                queue.append(pred.get(y, y))  # pred[y] is not a: y is not in firsts
-        for x in queue:
-            s = succ.get(x)
-            back = s is not None  # x carries a unit: the arc back to its in-copy is live
-            for y in adj[x]:
-                if back and y > x:
-                    back = False
-                    if x not in into:
-                        into[x] = x
-                        if pred[x] != a:
-                            queue.append(pred[x])
-                if y == s or y in into:
-                    continue
-                if y == b:
-                    self._push(x, into)
-                    return True
-                into[y] = x
-                z = pred.get(y, y)
-                if z != a:
-                    queue.append(z)
-            if back and x not in into:
-                into[x] = x
-                if pred[x] != a:
-                    queue.append(pred[x])
-        return False
 
     def _push(self, x: str, into: dict[str, str]) -> None:
         """Carry a unit along the path the search found, from ``x``'s
@@ -443,7 +410,7 @@ def _spread(
     step: dict[str, str],
     root: str,
     wide: set[str],
-    narrow: set[str],
+    narrow: dict[str, str],
     known_wide: Container[str] = (),
     known_narrow: Container[str] = (),
     halt: str | None = None,
@@ -455,16 +422,25 @@ def _spread(
     reach a copy), ``step`` is ``succ`` and the roles swap. The wide copy of
     ``x`` leads to the narrow copies of its neighbours, and of ``x`` itself
     when ``x`` carries a unit; the narrow copy of ``y`` leads to the wide
-    copy of ``step.get(y, y)`` alone. The search starts at the wide copy of
-    ``root``, already in ``wide``; it adds the copies it reaches outside the
-    ``known`` ones to ``wide`` and ``narrow``, and returns False once it
-    reaches the wide copy of ``halt``.
+    copy of ``step.get(y, y)`` alone. The wide copy of ``x`` is scanned in
+    label order, its own narrow copy at ``x``'s place, so the search is
+    breadth-first in the order of an arc-list search. It starts at the wide
+    copy of ``root``, already in ``wide``; it adds the copies it reaches
+    outside the ``known`` ones to ``wide`` and to ``narrow``, which maps
+    each narrow copy to the wide copy that reached it, and returns False
+    once it reaches the wide copy of ``halt``. So it both tests the cut and
+    builds the flow: ``narrow`` walked back from ``halt`` is an augmenting
+    path.
     """
     queue = [root]
     for x in queue:
-        for y in adj[x] + (x,) if x in step else adj[x]:
+        nbrs = adj[x]
+        if x in step:
+            i = bisect(nbrs, x)
+            nbrs = (*nbrs[:i], x, *nbrs[i:])
+        for y in nbrs:
             if y not in narrow and y not in known_narrow:
-                narrow.add(y)
+                narrow[y] = x
                 z = step.get(y, y)
                 if z not in wide and z not in known_wide:
                     if z == halt:
@@ -482,8 +458,8 @@ def min_vertex_cut(g: Network, a: str, b: str) -> frozenset[str]:
     adjacent, since then no interior set can separate them; disconnected
     endpoints give the empty cut.
 
-    One max flow of value ``k`` is computed. With edge arcs uncapped it is
-    still a max flow, and its minimum cuts are the node-arc sets leaving a
+    One max flow of value ``k`` is computed. The flow is built with edge
+    arcs uncapped, and its minimum cuts are the node-arc sets leaving a
     closed set of the residual graph that holds the source and not the sink
     (Picard and Queyranne, Math. Prog. Study 13, 1980). Each interior node
     ``v``, in label order, joins the cut iff some minimum cut extends the
@@ -502,9 +478,9 @@ def min_vertex_cut(g: Network, a: str, b: str) -> frozenset[str]:
         raise DirectLinkError(f"{a!r} and {b!r} share a direct edge; no interior cut exists")
     flow = _max_flow(g, a, b)
     adj, succ, pred = g.adjacency, flow.succ, flow.pred
-    s_out, s_in = {a}, set()  # S: searched forward, out-copies are wide
+    s_out, s_in = {a}, {}  # S: searched forward, out-copies are wide
     _spread(adj, pred, a, s_out, s_in)
-    f_in, f_out = {b}, set()  # F: searched backward, in-copies are wide
+    f_in, f_out = {b}, {}  # F: searched backward, in-copies are wide
     _spread(adj, succ, b, f_in, f_out)
     chosen: list[str] = []
     need = flow.value
@@ -516,7 +492,7 @@ def min_vertex_cut(g: Network, a: str, b: str) -> frozenset[str]:
         if v not in pred or v in f_in or v in s_out:
             continue
         # v's in-copy has one arc, back to pred[v]'s out-copy
-        wide, narrow = set(), {v}
+        wide, narrow = set(), {v: v}
         if pred[v] not in s_out:
             wide.add(pred[v])
             if not _spread(adj, pred, pred[v], wide, narrow, s_out, s_in, halt=v):
@@ -526,7 +502,7 @@ def min_vertex_cut(g: Network, a: str, b: str) -> frozenset[str]:
         # from the new S. v's out-copy is reached back from succ[v]'s in-copy.
         s_out |= wide
         s_in |= narrow
-        f_out.add(v)
+        f_out[v] = succ[v]
         if succ[v] not in f_in:
             f_in.add(succ[v])
             _spread(adj, succ, succ[v], f_in, f_out)

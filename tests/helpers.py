@@ -304,9 +304,10 @@ class SortedSplitFlow:
     out-copy ``2i + 1``; every arc is numbered in edge-id order, paired with
     its reverse ``arc ^ 1`` in ``head`` and ``cap`` (residual capacity), and
     appended to its tail's list, and each list is sorted by head afterwards.
-    Each search scans those lists, so it meets arcs in the same head order
-    as ``_SplitFlow`` reads them off its links: the referee for the flow
-    ``_SplitFlow`` finds.
+    Each search scans those lists with every arc capped, while
+    ``_SplitFlow``'s ``_spread`` searches leave edge arcs uncapped and scan
+    a node's neighbours and its own in-copy in label order, which is the
+    same head order: the referee for the flow ``_SplitFlow`` builds.
     """
 
     def __init__(self, g: Network, a: str, b: str) -> None:

@@ -613,6 +613,14 @@ def test_scalar_config_attack_is_one_label(tmp_path, capsys):
     assert "attack: c1\n" in capsys.readouterr().out
 
 
+def test_config_attack_string_is_split_like_the_flag(fixture_cfg, tmp_path, capsys):
+    cfg = _fixture_set(tmp_path, "security.attack", "c1,")
+    assert cli.main(["assess", cfg]) == 0
+    from_config = capsys.readouterr().out
+    assert cli.main(["assess", fixture_cfg, "--attack", "c1,"]) == 0
+    assert "attack: c1\n" in from_config and capsys.readouterr().out == from_config
+
+
 @pytest.mark.parametrize("value", [5, {"c1": 1}])
 def test_non_list_config_attack_is_rejected(tmp_path, capsys, value):
     cfg = _fixture_set(tmp_path, "security.attack", value)
@@ -661,6 +669,22 @@ def test_malformed_config_shape_exits_1(tmp_path, capsys, dotted, value, command
     assert cli.main([command, cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag,value",
+    [
+        (["sweep", "--v-values", "20,2.5"], "--v-values", "'2.5'"),
+        (["sweep", "--seeds", "1,x"], "--seeds", "'x'"),
+        (["exchange", "--scheme", "multipath", "--message", "zz"], "--message", "'zz'"),
+    ],
+    ids=["v-values", "seeds", "message"],
+)
+def test_bad_integer_flag_value_names_the_flag(fixture_cfg, diamond_cfg, capsys, argv, flag, value):
+    cfg = diamond_cfg if argv[0] == "sweep" else fixture_cfg
+    assert cli.main([argv[0], cfg, *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err and value in err
 
 
 def test_string_config_path_is_a_comma_separated_route(tmp_path, capsys):

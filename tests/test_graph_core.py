@@ -356,6 +356,9 @@ def test_cut_matches_the_referee_on_random_labelled_graphs(n, p, rng):
     else:
         assert min_vertex_cut(g, a, b) == rerun_min_vertex_cut(g, a, b)
     assert max_disjoint_paths(g, a, b) == dict_flow_disjoint_paths(g, a, b)
+    for x, y in ((a, b), (b, a)):
+        flow, referee = _SplitFlow(g, x, y), SortedSplitFlow(g, x, y)
+        assert (_carried(flow), flow.value) == (referee.carried(), referee.value)
 
 
 def worst_label_grid(n: int) -> Network:
@@ -519,6 +522,11 @@ def _carried(flow):
     return set(flow.succ.items()) | {(flow.a, y) for y in flow.firsts}
 
 
+def _seeded_relay_graph(seed):
+    rng = Random(seed)
+    return random_relay_graph(rng, rng.randint(20, 150))
+
+
 FLOW_BUILD_CASES = {
     "demo7": demo7_network(),
     "grid10": grid_network(10),
@@ -535,6 +543,9 @@ FLOW_BUILD_CASES = {
          ("e5", "d", "n"), ("e6", "n", "0")],
         alice="z", bob="0",
     ),
+    # carries other edges when a node's reverse node arc is scanned after
+    # its neighbours instead of at its own place in label order
+    "relay-73": _seeded_relay_graph(73),
 }
 
 
