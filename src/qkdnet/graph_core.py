@@ -21,13 +21,13 @@ off that flow: the minimum cuts are the closed sets of its residual graph
 node is tested by reachability, not by a fresh augmentation.
 Accepted nodes cost O(m) in all, a rejected one at most O(m), so a cut of
 size k costs O(k*m + n*m) in the worst case.
-Path enumeration keeps the set of nodes that can still reach ``b`` and
-prunes every branch outside it, so the delay between two paths is
-polynomial. A node that joins the trail takes out of that set only the
-pieces it cuts off from ``b``, found by round-robin searches from its
-neighbours: a piece that splits off costs about its own size times the
-number of searches (Even and Shiloach, JACM 1981), and when none does the
-searches stop where they meet.
+Path enumeration walks forward into the set of nodes that can still reach
+``b``, so the first path never backs up. A node that joins the trail takes
+out of that set only the pieces it cuts off from ``b``, found by
+round-robin searches from its neighbours: a piece that splits off costs
+about its own size times the number of searches (Even and Shiloach, JACM
+1981), and when none does the searches stop where they meet. Backing up
+searches the set afresh, so the delay between two paths is polynomial.
 """
 
 from __future__ import annotations
@@ -231,29 +231,28 @@ def _removal(g: Network, removed: Iterable[str], a: str, b: str) -> frozenset[st
     return gone
 
 
-def _cut_off(adj: dict[str, tuple[str, ...]], reach: set[str], y: str, b: str) -> tuple[set[str], list[str]]:
+def _cut_off(adj: dict[str, tuple[str, ...]], reach: set[str], y: str, b: str) -> set[str]:
     """Shrink ``reach`` to ``b``'s piece once ``y`` has left it.
 
     ``reach`` is ``b``'s component less ``y``, so each of its pieces holds a
     neighbour of ``y``. One search per such neighbour runs, a node at a
     time, round robin, and searches that meet join one group. A group whose
     searches have all run out is a whole piece: without ``b`` its nodes
-    leave ``reach`` and are returned; with ``b`` it is returned as a new set
-    and ``reach`` is left as it is. The split stops when one group is left
-    open, so a split costs about the smaller side times the number of
-    searches (Even and Shiloach, JACM 1981); with no split the searches
-    stop where the last two meet.
+    leave ``reach`` at once; with ``b`` it is returned as a new set. The
+    split stops when one group is left open and ``reach`` is returned, so a
+    split costs about the smaller side times the number of searches (Even
+    and Shiloach, JACM 1981); with no split the searches stop where the
+    last two meet.
     """
     starts = [u for u in adj[y] if u in reach]
     k = len(starts)
     if k < 2:
-        return reach, []
+        return reach
     owner = {u: i for i, u in enumerate(starts)}
     group = list(range(k))
     queues = [[u] for u in starts]
     done = [0] * k  # how many nodes of each queue have been searched
     open_groups = k
-    dropped: list[str] = []
     while True:
         for i in range(k):
             queue = queues[i]
@@ -272,8 +271,7 @@ def _cut_off(adj: dict[str, tuple[str, ...]], reach: set[str], y: str, b: str) -
                         group = [kept if grp == gone else grp for grp in group]
                         open_groups -= 1
                         if open_groups == 1:
-                            reach.difference_update(dropped)
-                            return reach, dropped
+                            return reach
             if done[i] < len(queue):
                 continue
             members = [j for j in range(k) if group[j] == group[i]]
@@ -281,48 +279,47 @@ def _cut_off(adj: dict[str, tuple[str, ...]], reach: set[str], y: str, b: str) -
                 continue
             piece = [z for j in members for z in queues[j]]
             if b in owner and group[owner[b]] == group[i]:
-                return set(piece), []
-            dropped += piece
+                return set(piece)
+            reach.difference_update(piece)
             open_groups -= 1
             if open_groups == 1:
-                reach.difference_update(dropped)
-                return reach, dropped
+                return reach
 
 
 def enumerate_simple_paths(g: Network, a: str, b: str, removed: Iterable[str] = ()) -> Iterator[Path]:
     """Yield every simple ``a`` to ``b`` path that avoids the ``removed`` nodes.
 
     Paths come out in lexicographic order of their node sequences because
-    neighbors are explored in sorted order. The walk keeps one set, the
-    nodes that can still reach ``b``: ``b``'s component without the trail
-    and the removed nodes. It descends only into that set, so every descent
-    ends in a path and the delay between two paths is polynomial. A node
-    that joins the trail leaves the set together with the pieces it cuts
-    off from ``b`` (``_cut_off``), and they come back when it leaves. The
-    depth-first search is one loop over an explicit stack, so a path may be
-    as long as the network allows.
+    neighbors are tried in sorted order. The walk keeps one set, the nodes
+    that can still reach ``b``: ``b``'s component without the trail and the
+    removed nodes. It steps only into that set, taking out the pieces each
+    step cuts off from ``b`` (``_cut_off``), so every step leads to a path.
+    A trail end with no neighbour left to try is dropped, the set is
+    searched afresh from ``b``, and the new end tries its neighbours above
+    the dropped one. So the delay between two paths is polynomial, and a
+    path may be as long as the network allows.
     """
     _require_pair(g, a, b)
     adj = g.adjacency
+    gone = _removal(g, removed, a, b)
     # a removed node is blocked like a node on the trail: never entered
-    reach = _reach(adj, b, {a, *_removal(g, removed, a, b)})
-    # one frame per trail node: the node, its neighbors not yet tried, and
-    # the set and the nodes that restore ``reach`` when it leaves the trail
-    stack = [(a, iter(adj[a]), reach, [])]
-    while stack:
-        for nxt in stack[-1][1]:
+    reach = _reach(adj, b, {a, *gone})
+    trail = [a]
+    after = None  # the node last dropped from the trail's end
+    while trail:
+        nbrs = adj[trail[-1]]
+        for nxt in nbrs[0 if after is None else bisect(nbrs, after):]:
             if nxt == b:
-                yield Path(tuple(frame[0] for frame in stack) + (b,))
+                yield Path((*trail, b))
             elif nxt in reach:
                 reach.discard(nxt)
-                outer = reach
-                reach, dropped = _cut_off(adj, reach, nxt, b)
-                stack.append((nxt, iter(adj[nxt]), outer, dropped))
+                reach = _cut_off(adj, reach, nxt, b)
+                trail.append(nxt)
+                after = None
                 break
         else:
-            node, _, reach, dropped = stack.pop()
-            reach.update(dropped)
-            reach.add(node)
+            after = trail.pop()
+            reach = _reach(adj, b, {*trail, *gone})
 
 
 def disconnects(g: Network, removed: Iterable[str], a: str, b: str) -> bool:

@@ -579,6 +579,15 @@ def test_config_missing_endpoints(tmp_path, capsys):
     assert "alice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("end", ["alice: a", "bob: b"])
+@pytest.mark.parametrize("command", ["attack", "assess", "exchange"])
+def test_config_with_one_endpoint_exits_1(tmp_path, capsys, command, end):
+    p = tmp_path / "oneend.yaml"
+    p.write_text(f"{end}\nedges:\n  - {{id: e1, u: a, v: c}}\n  - {{id: e2, u: c, v: b}}\n")
+    assert cli.main([command, str(p)]) == 1
+    assert "no designated alice/bob endpoints" in capsys.readouterr().err
+
+
 def test_simulate_requires_schedule(tmp_path, capsys):
     p = tmp_path / "nosched.yaml"
     p.write_text("alice: a\nbob: b\nedges:\n  - {id: e1, u: a, v: b, params: {K: 2, P_max: 2}}\n")

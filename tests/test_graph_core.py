@@ -182,14 +182,46 @@ def test_cut_off_keeps_bobs_piece_and_the_walk_matches_the_referee(name):
     g = Network.from_links(links)
     reach = set(before)
     reach.discard(y)
-    kept, dropped = graph_core._cut_off(g.adjacency, reach, y, "b")
+    kept = graph_core._cut_off(g.adjacency, reach, y, "b")
     assert kept == after
-    if name == "bob-finishes-first":  # a new set; the old one stays whole for the way back
-        assert kept is not reach and reach == before - {y} and dropped == []
-    else:
-        assert kept is reach and set(dropped) == before - {y} - after
+    # bob's piece comes back as a new set; otherwise reach shrinks in place
+    assert (kept is reach) == (name != "bob-finishes-first")
     want = list(backtracking_simple_paths(g, "a", "b"))
     assert list(enumerate_simple_paths(g, "a", "b")) == want
+
+
+def test_cut_off_leaves_what_a_fresh_search_from_b_reaches():
+    """The shrunk set is b's whole component without the blocked nodes and
+    ``y``: no more, or a step could lead away from every path."""
+    rng = Random(2121)
+    graphs = [random_relay_graph(rng, rng.randint(12, 40)) for _ in range(40)]
+    for _ in range(2000):
+        n = rng.randint(3, 12)
+        names = [f"v{k}" for k in rng.sample(range(n), n)]
+        links = [(f"e{i}_{j}", names[i], names[j]) for i, j in pair_list(n) if rng.random() < 0.4]
+        graphs.append(Network.from_links(links, extra_nodes=names))
+    for g in graphs:
+        b = g.nodes[0]
+        blocked = {v for v in g.nodes[1:] if rng.random() < 0.3}
+        reach = graph_core._reach(g.adjacency, b, blocked)
+        if len(reach) < 2:
+            continue
+        y = rng.choice(sorted(reach - {b}))
+        reach.discard(y)
+        want = graph_core._reach(g.adjacency, b, blocked | {y})
+        assert graph_core._cut_off(g.adjacency, reach, y, b) == want
+
+
+def test_later_paths_match_the_referee_on_mid_size_relay_graphs():
+    """Past the first path the walk backs up and searches afresh: the first
+    200 paths of graphs with 12-30 relays and a random attack."""
+    rng = Random(31)
+    for _ in range(40):
+        g = random_relay_graph(rng, rng.randint(12, 30))
+        a, b = g.alice, g.bob
+        gone = {v for v in g.nodes if v not in (a, b) and rng.random() < 0.15}
+        want = list(itertools.islice(backtracking_simple_paths(_without(g, gone), a, b), 200))
+        assert list(itertools.islice(enumerate_simple_paths(g, a, b, gone), 200)) == want
 
 
 def test_paths_removing_an_endpoint_or_unknown_node_rejected():
@@ -566,6 +598,27 @@ def test_ordered_flow_build_matches_the_sorted_builder_on_random_label_relay_gra
         a, b = g.alice, g.bob
         flow, referee = _SplitFlow(g, a, b), SortedSplitFlow(g, a, b)
         assert (_carried(flow), flow.value) == (referee.carried(), referee.value)
+
+
+class _CountedReads(dict):
+    """An adjacency that counts how often each node's neighbours are read."""
+
+    def __init__(self, adj):
+        super().__init__(adj)
+        self.reads = {}
+
+    def __getitem__(self, key):
+        self.reads[key] = self.reads.get(key, 0) + 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("g", [FLOW_BUILD_CASES["relay-73"], grid_network(6)], ids=["relay-73", "grid6"])
+def test_residual_search_scans_each_wide_copy_once(g):
+    flow = _SplitFlow(g, g.alice, g.bob)
+    for root, step in ((g.alice, flow.pred), (g.bob, flow.succ)):
+        adj = _CountedReads(g.adjacency)
+        graph_core._spread(adj, step, root, {root}, {})
+        assert adj.reads and max(adj.reads.values()) == 1, root
 
 
 def test_one_network_builds_one_flow_per_endpoint_pair(monkeypatch):
