@@ -108,7 +108,11 @@ def _flag_int(text: str, flag: str, base: int = 10) -> int:
 
 
 def _number(value: Any, what: str, integer: bool = False) -> int | float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{what} is too large for a float, got an integer of {value.bit_length()} bits")
+    if not math.isfinite(value):
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
     if integer and not isinstance(value, int):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
@@ -289,9 +293,12 @@ def _cmd_exchange(cfg: _Config, args: argparse.Namespace) -> int:
     kind = args.scheme or cfg.kind
     if kind == "m0" and args.message is not None:
         raise ConfigError("--message applies to the multipath scheme only; the m0 key is the XOR of alice's edge keys")
-    n_bits = cfg.n_bits if args.n_bits is None else args.n_bits
+    n_bits, source = (cfg.n_bits, "security.n_bits") if args.n_bits is None else (args.n_bits, "--n-bits")
     rng = Random(cfg.seed)
-    keys = KeyAssignment.random(g, n_bits, rng)
+    try:
+        keys = KeyAssignment.random(g, n_bits, rng)
+    except ValueError as e:  # the key width, checked before any key is drawn
+        raise ConfigError(f"{source}: {e}") from None
     if kind == "m0":
         transcript = m0_exchange(g, keys)
     else:

@@ -21,13 +21,10 @@ off that flow: the minimum cuts are the closed sets of its residual graph
 node is tested by reachability, not by a fresh augmentation.
 Accepted nodes cost O(m) in all, a rejected one at most O(m), so a cut of
 size k costs O(k*m + n*m) in the worst case.
-Path enumeration walks forward into the set of nodes that can still reach
-``b``, so the first path never backs up. A node that joins the trail takes
-out of that set only the pieces it cuts off from ``b``, found by
-round-robin searches from its neighbours: a piece that splits off costs
-about its own size times the number of searches (Even and Shiloach, JACM
-1981), and when none does the searches stop where they meet. Backing up
-searches the set afresh, so the delay between two paths is polynomial.
+Path enumeration is a depth-first walk that marks a node dead when it
+leaves the trail with no path through it, and never enters a dead node,
+so the first path costs O(n+m) and the delay between two paths is
+polynomial.
 """
 
 from __future__ import annotations
@@ -231,95 +228,52 @@ def _removal(g: Network, removed: Iterable[str], a: str, b: str) -> frozenset[st
     return gone
 
 
-def _cut_off(adj: dict[str, tuple[str, ...]], reach: set[str], y: str, b: str) -> set[str]:
-    """Shrink ``reach`` to ``b``'s piece once ``y`` has left it.
-
-    ``reach`` is ``b``'s component less ``y``, so each of its pieces holds a
-    neighbour of ``y``. One search per such neighbour runs, a node at a
-    time, round robin, and searches that meet join one group. A group whose
-    searches have all run out is a whole piece: without ``b`` its nodes
-    leave ``reach`` at once; with ``b`` it is returned as a new set. The
-    split stops when one group is left open and ``reach`` is returned, so a
-    split costs about the smaller side times the number of searches (Even
-    and Shiloach, JACM 1981); with no split the searches stop where the
-    last two meet.
-    """
-    starts = [u for u in adj[y] if u in reach]
-    k = len(starts)
-    if k < 2:
-        return reach
-    owner = {u: i for i, u in enumerate(starts)}
-    group = list(range(k))
-    queues = [[u] for u in starts]
-    done = [0] * k  # how many nodes of each queue have been searched
-    open_groups = k
-    while True:
-        for i in range(k):
-            queue = queues[i]
-            if done[i] == len(queue):
-                continue
-            x = queue[done[i]]
-            done[i] += 1
-            for z in adj[x]:
-                if z in reach:
-                    j = owner.get(z)
-                    if j is None:
-                        owner[z] = i
-                        queue.append(z)
-                    elif group[j] != group[i]:
-                        gone, kept = group[j], group[i]
-                        group = [kept if grp == gone else grp for grp in group]
-                        open_groups -= 1
-                        if open_groups == 1:
-                            return reach
-            if done[i] < len(queue):
-                continue
-            members = [j for j in range(k) if group[j] == group[i]]
-            if any(done[j] < len(queues[j]) for j in members):
-                continue
-            piece = [z for j in members for z in queues[j]]
-            if b in owner and group[owner[b]] == group[i]:
-                return set(piece)
-            reach.difference_update(piece)
-            open_groups -= 1
-            if open_groups == 1:
-                return reach
-
-
 def enumerate_simple_paths(g: Network, a: str, b: str, removed: Iterable[str] = ()) -> Iterator[Path]:
     """Yield every simple ``a`` to ``b`` path that avoids the ``removed`` nodes.
 
     Paths come out in lexicographic order of their node sequences because
-    neighbors are tried in sorted order. The walk keeps one set, the nodes
-    that can still reach ``b``: ``b``'s component without the trail and the
-    removed nodes. It steps only into that set, taking out the pieces each
-    step cuts off from ``b`` (``_cut_off``), so every step leads to a path.
-    A trail end with no neighbour left to try is dropped, the set is
-    searched afresh from ``b``, and the new end tries its neighbours above
-    the dropped one. So the delay between two paths is polynomial, and a
-    path may be as long as the network allows.
+    neighbors are tried in sorted order. The walk is a depth-first search
+    (Tarjan, SIAM J. Comput. 1972) that never re-enters a dead node. A trail
+    end with no neighbour left to try is dropped, and the new end tries its
+    neighbours above the dropped one. ``used`` counts the trail's first
+    nodes that lie on a path already yielded. A dropped node outside them
+    reached no path, so it is marked dead; dropping one inside them drops
+    every mark.
+
+    A dead node cannot reach ``b`` while avoiding the trail, so skipping it
+    loses no path. The mark stays true when a dead node ``u`` is dropped: a
+    route from a marked node through ``u`` would let ``u`` reach ``b``
+    through a neighbour it already tried. Before the first path no mark is
+    dropped, so each node joins the trail at most once and the first path
+    costs O(n+m). After a path at most one reset happens per trail node
+    before the next path, so the delay between two paths is O(n*(n+m)).
     """
     _require_pair(g, a, b)
     adj = g.adjacency
     gone = _removal(g, removed, a, b)
-    # a removed node is blocked like a node on the trail: never entered
-    reach = _reach(adj, b, {a, *gone})
-    trail = [a]
+    dead = set(gone)  # a removed node is never entered, like a dead one
+    trail, on_trail = [a], {a}
     after = None  # the node last dropped from the trail's end
+    used = 0
     while trail:
         nbrs = adj[trail[-1]]
         for nxt in nbrs[0 if after is None else bisect(nbrs, after):]:
             if nxt == b:
+                used = len(trail)
                 yield Path((*trail, b))
-            elif nxt in reach:
-                reach.discard(nxt)
-                reach = _cut_off(adj, reach, nxt, b)
+            elif nxt not in dead and nxt not in on_trail:
                 trail.append(nxt)
+                on_trail.add(nxt)
                 after = None
                 break
         else:
             after = trail.pop()
-            reach = _reach(adj, b, {*trail, *gone})
+            on_trail.discard(after)
+            if len(trail) < used:
+                used = len(trail)
+                dead = set(gone)
+            else:
+                dead.add(after)
 
 
 def disconnects(g: Network, removed: Iterable[str], a: str, b: str) -> bool:

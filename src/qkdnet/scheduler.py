@@ -74,6 +74,8 @@ def _require_number(x: object, name: str, integer: bool = False) -> None:
         index(x) if integer else math.isfinite(x)
     except TypeError:
         raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {x!r}") from None
+    except OverflowError:  # an int past the largest float
+        raise ValueError(f"{name} is too large for a float, got an integer of {x.bit_length()} bits") from None
 
 
 def _require_positive_finite(x: Num, name: str) -> None:

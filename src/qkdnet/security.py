@@ -118,6 +118,16 @@ class Scheme:
         return tuple(p.edges_in(g) for p in self.paths)  # raises on a hop with no edge
 
 
+MAX_KEY_BITS = 1 << 20  # 128 KiB a key
+
+
+def _require_width(n_bits: int) -> None:
+    if n_bits < 1:
+        raise ValueError("keys need at least one bit")
+    if n_bits > MAX_KEY_BITS:
+        raise ValueError(f"keys take at most {MAX_KEY_BITS} bits, got {n_bits}")
+
+
 @dataclass(frozen=True)
 class KeyAssignment:
     """One key value per edge, each an ``n_bits``-wide integer."""
@@ -126,8 +136,7 @@ class KeyAssignment:
     bits: dict[str, int]
 
     def __post_init__(self) -> None:
-        if self.n_bits < 1:
-            raise ValueError("keys need at least one bit")
+        _require_width(self.n_bits)
         top = 1 << self.n_bits
         for eid, value in self.bits.items():
             if not 0 <= value < top:
@@ -135,6 +144,7 @@ class KeyAssignment:
 
     @classmethod
     def random(cls, g: Network, n_bits: int, rng: Random) -> "KeyAssignment":
+        _require_width(n_bits)  # before drawing, which would fail on its own terms
         # edges are visited in sorted-id order so a seeded rng reproduces exactly
         return cls(n_bits, {e.id: rng.getrandbits(n_bits) for e in g.edges})
 

@@ -3,7 +3,7 @@
 Usage, from the repository root::
 
     python tests/mutants.py qkdnet.graph_core tests/test_graph_core.py \
-        tests/test_security.py --function _cut_off --function Network.require_endpoints
+        tests/test_security.py --function enumerate_simple_paths --function Network.require_endpoints
 
 Each mutant changes one site in one function of MODULE (DeMillo, Lipton
 and Sayward, IEEE Computer 1978): a comparison swapped (``<``/``<=``,

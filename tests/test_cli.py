@@ -696,6 +696,31 @@ def test_bad_integer_flag_value_names_the_flag(fixture_cfg, diamond_cfg, capsys,
     assert err.startswith("error:") and flag in err and value in err
 
 
+HUGE = 10**400  # past the largest float
+
+
+@pytest.mark.parametrize(
+    "dotted,value,argv,named",
+    [
+        ("seed", HUGE, ["simulate"], "seed is too large"),
+        ("schedule.V", HUGE, ["simulate"], "schedule.V is too large"),
+        ("edges.0.params.K", HUGE, ["simulate"], "on edge 'k1': K is too large"),
+        ("schedule.commodities.0.w", HUGE, ["oracle"], "utility weight is too large"),
+        ("schedule.T", HUGE, ["assess"], "schedule.T is too large"),
+        ("security.n_bits", 10**20, ["exchange"], "security.n_bits: keys take at most"),
+        (None, None, ["exchange", "--n-bits", str(10**20)], "--n-bits: keys take at most"),
+        (None, None, ["exchange", "--n-bits", "-3"], "--n-bits: keys need at least one bit"),
+    ],
+    ids=["seed", "V", "K", "w", "T", "n_bits", "n-bits-flag", "n-bits-negative"],
+)
+def test_out_of_range_integer_names_its_key(fixture_cfg, tmp_path, capsys, dotted, value, argv, named):
+    cfg = fixture_cfg if dotted is None else _fixture_set(tmp_path, dotted, value)
+    assert cli.main([argv[0], cfg, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and named in captured.err
+
+
 def test_string_config_path_is_a_comma_separated_route(tmp_path, capsys):
     cfg = _fixture_set(tmp_path, "security.paths", ["a,c1,c2,b", "a,c3,c4,c5,b"])
     assert cli.main(["assess", cfg, "--attack", "c2"]) == 0

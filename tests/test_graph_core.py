@@ -152,64 +152,76 @@ def test_paths_match_the_backtracking_referee_on_random_labelled_graphs(n, p, q,
     assert list(enumerate_simple_paths(g, a, b, gone)) == want
 
 
-# Each case: links, the trail node that leaves the reach set, the reach set
-# before it leaves (b's component without a), and the set after it.
-CUT_OFF_CASES = {
-    # y's neighbours u and w still meet through b
-    "no-split": (
-        [("e1", "a", "y"), ("e2", "y", "u"), ("e3", "y", "w"), ("e4", "u", "b"), ("e5", "w", "b")],
-        "y", {"y", "u", "w", "b"}, {"u", "w", "b"},
-    ),
-    # the pendant p1-p2 runs out first and is dropped; u still holds b
-    "small-piece-dropped": (
-        [("e1", "a", "y"), ("e2", "y", "p1"), ("e3", "p1", "p2"), ("e4", "y", "u"), ("e5", "u", "b"),
-         ("e6", "u", "v"), ("e7", "v", "w"), ("e8", "w", "b"), ("e9", "w", "x")],
-        "y", {"y", "p1", "p2", "u", "v", "w", "x", "b"}, {"u", "v", "w", "x", "b"},
-    ),
-    # b hangs off y alone, so its search runs out at once, before the
-    # search through the ring c1-c2-c3-c4
-    "bob-finishes-first": (
-        [("e1", "a", "y"), ("e2", "y", "b"), ("e3", "y", "c1"), ("e4", "c1", "c2"), ("e5", "c2", "c3"),
-         ("e6", "c3", "c4"), ("e7", "c4", "c1"), ("e8", "a", "c3")],
-        "y", {"y", "b", "c1", "c2", "c3", "c4"}, {"b"},
-    ),
+WALK_CASES = {
+    # y's neighbours u and w both lead to b: the walk backs up past a path
+    "two-branches": [("e1", "a", "y"), ("e2", "y", "u"), ("e3", "y", "w"), ("e4", "u", "b"), ("e5", "w", "b")],
+    # the pendant p1-p2 is a dead end, tried before u
+    "dead-pendant": [
+        ("e1", "a", "y"), ("e2", "y", "p1"), ("e3", "p1", "p2"), ("e4", "y", "u"), ("e5", "u", "b"),
+        ("e6", "u", "v"), ("e7", "v", "w"), ("e8", "w", "b"), ("e9", "w", "x"),
+    ],
+    # b hangs off y alone, which the walk reaches round the ring c1-c2-c3-c4
+    "ring-before-bob": [
+        ("e1", "a", "y"), ("e2", "y", "b"), ("e3", "y", "c1"), ("e4", "c1", "c2"), ("e5", "c2", "c3"),
+        ("e6", "c3", "c4"), ("e7", "c4", "c1"), ("e8", "a", "c3"),
+    ],
 }
 
 
-@pytest.mark.parametrize("name", sorted(CUT_OFF_CASES))
-def test_cut_off_keeps_bobs_piece_and_the_walk_matches_the_referee(name):
-    links, y, before, after = CUT_OFF_CASES[name]
-    g = Network.from_links(links)
-    reach = set(before)
-    reach.discard(y)
-    kept = graph_core._cut_off(g.adjacency, reach, y, "b")
-    assert kept == after
-    # bob's piece comes back as a new set; otherwise reach shrinks in place
-    assert (kept is reach) == (name != "bob-finishes-first")
+@pytest.mark.parametrize("name", sorted(WALK_CASES))
+def test_walk_matches_the_referee_on_small_cases(name):
+    g = Network.from_links(WALK_CASES[name])
     want = list(backtracking_simple_paths(g, "a", "b"))
     assert list(enumerate_simple_paths(g, "a", "b")) == want
 
 
-def test_cut_off_leaves_what_a_fresh_search_from_b_reaches():
-    """The shrunk set is b's whole component without the blocked nodes and
-    ``y``: no more, or a step could lead away from every path."""
-    rng = Random(2121)
-    graphs = [random_relay_graph(rng, rng.randint(12, 40)) for _ in range(40)]
-    for _ in range(2000):
-        n = rng.randint(3, 12)
-        names = [f"v{k}" for k in rng.sample(range(n), n)]
-        links = [(f"e{i}_{j}", names[i], names[j]) for i, j in pair_list(n) if rng.random() < 0.4]
-        graphs.append(Network.from_links(links, extra_nodes=names))
-    for g in graphs:
-        b = g.nodes[0]
-        blocked = {v for v in g.nodes[1:] if rng.random() < 0.3}
-        reach = graph_core._reach(g.adjacency, b, blocked)
-        if len(reach) < 2:
-            continue
-        y = rng.choice(sorted(reach - {b}))
-        reach.discard(y)
-        want = graph_core._reach(g.adjacency, b, blocked | {y})
-        assert graph_core._cut_off(g.adjacency, reach, y, b) == want
+class _CountedReads(dict):
+    """An adjacency that counts how often each node's neighbours are read."""
+
+    def __init__(self, adj):
+        super().__init__(adj)
+        self.reads = {}
+
+    def __getitem__(self, key):
+        self.reads[key] = self.reads.get(key, 0) + 1
+        return super().__getitem__(key)
+
+
+def _pocket_links(entries):
+    """The 5x5 grid ``g<row>_<col>`` joined to each ``(node, grid corner)``
+    in ``entries``: a pocket with no way on to b."""
+    links = [(e.id, e.u, e.v) for e in grid_network(5).edges]
+    return links + [(f"in_{u}_{c}", u, c) for u, c in entries]
+
+
+def _counted(g: Network) -> _CountedReads:
+    adj = vars(g)["adjacency"] = _CountedReads(g.adjacency)
+    return adj
+
+
+def test_first_path_reads_at_most_two_adjacencies_per_node():
+    """Alice's least neighbour leads into a dead pocket: the walk leaves it
+    for good after one pass, where plain backtracking tries every path in
+    it."""
+    links = _pocket_links([("a", "g0_0")]) + [("az", "a", "z"), ("zb", "z", "b")]
+    g = Network.from_links(links)
+    adj = _counted(g)
+    assert next(enumerate_simple_paths(g, "a", "b")) == Path(("a", "z", "b"))
+    assert sum(adj.reads.values()) <= 2 * len(g.nodes)
+
+
+def test_second_path_reads_at_most_two_adjacencies_per_node():
+    """After the path a-x-b, four of x's later neighbours lead into one dead
+    pocket: its marks must outlive the first entry, though x lies on a
+    path already yielded."""
+    corners = ("g0_0", "g0_4", "g4_0", "g4_4")
+    links = _pocket_links([("x", c) for c in corners])
+    links += [("ax", "a", "x"), ("xb", "x", "b"), ("xz", "x", "z"), ("zb", "z", "b")]
+    g = Network.from_links(links)
+    adj = _counted(g)
+    paths = enumerate_simple_paths(g, "a", "b")
+    assert [next(paths), next(paths)] == [Path(("a", "x", "b")), Path(("a", "x", "z", "b"))]
+    assert sum(adj.reads.values()) <= 2 * len(g.nodes)
 
 
 def test_later_paths_match_the_referee_on_mid_size_relay_graphs():
@@ -598,18 +610,6 @@ def test_ordered_flow_build_matches_the_sorted_builder_on_random_label_relay_gra
         a, b = g.alice, g.bob
         flow, referee = _SplitFlow(g, a, b), SortedSplitFlow(g, a, b)
         assert (_carried(flow), flow.value) == (referee.carried(), referee.value)
-
-
-class _CountedReads(dict):
-    """An adjacency that counts how often each node's neighbours are read."""
-
-    def __init__(self, adj):
-        super().__init__(adj)
-        self.reads = {}
-
-    def __getitem__(self, key):
-        self.reads[key] = self.reads.get(key, 0) + 1
-        return super().__getitem__(key)
 
 
 @pytest.mark.parametrize("g", [FLOW_BUILD_CASES["relay-73"], grid_network(6)], ids=["relay-73", "grid6"])
