@@ -118,14 +118,14 @@ class Scheme:
         return tuple(p.edges_in(g) for p in self.paths)  # raises on a hop with no edge
 
 
-MAX_KEY_BITS = 1 << 20  # 128 KiB a key
+_MAX_KEY_BITS = 1 << 20  # 128 KiB a key
 
 
 def _require_width(n_bits: int) -> None:
     if n_bits < 1:
         raise ValueError("keys need at least one bit")
-    if n_bits > MAX_KEY_BITS:
-        raise ValueError(f"keys take at most {MAX_KEY_BITS} bits, got {n_bits}")
+    if n_bits > _MAX_KEY_BITS:
+        raise ValueError(f"keys take at most {_MAX_KEY_BITS} bits, got {n_bits}")
 
 
 @dataclass(frozen=True)
