@@ -156,12 +156,19 @@ def _network(doc: dict[str, Any]) -> Network:
 
 def _commodities(raw: list[Any]) -> dict[tuple[str, str], Utility]:
     out: dict[tuple[str, str], Utility] = {}
-    for item in raw:
+    for i, item in enumerate(raw):
+        # named by position and pair, as an edge is by its id: an entry may be long
+        what = f"schedule.commodities[{i}]"
+        if not isinstance(item, dict):
+            raise ConfigError(f"{what} must be a dict, got a {type(item).__name__}")
+        for key in ("src", "dst"):
+            if key not in item:
+                raise ConfigError(f"{what} needs src and dst, has no {key!r}")
+        pair = (_label(item["src"], f"{what} src"), _label(item["dst"], f"{what} dst"))
         try:
-            pair = (_label(item["src"], "commodity src"), _label(item["dst"], "commodity dst"))
             utility = Utility(item.get("utility", "linear"), item.get("w", 1))
-        except (TypeError, KeyError, ValueError) as e:
-            raise ConfigError(f"bad commodity entry {item!r}: {e}") from e
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{what} ({pair[0]}->{pair[1]}): {e}") from e
         if pair in out:
             raise ConfigError(f"duplicate commodity {pair[0]}->{pair[1]}")
         out[pair] = utility

@@ -204,18 +204,6 @@ def _require_pair(g: Network, a: str, b: str) -> None:
         raise ValueError("endpoints must differ")
 
 
-def _reach(adj: dict[str, tuple[str, ...]], root: str, blocked: Container[str]) -> set[str]:
-    """Nodes reachable from ``root`` without entering a ``blocked`` node."""
-    reach = {root}
-    queue = [root]
-    for x in queue:
-        for y in adj[x]:
-            if y not in reach and y not in blocked:
-                reach.add(y)
-                queue.append(y)
-    return reach
-
-
 def _removal(g: Network, removed: Iterable[str], a: str, b: str) -> frozenset[str]:
     """``removed`` as a set of the network's nodes, refusing ``a`` and ``b``."""
     gone = frozenset(removed)
@@ -277,11 +265,24 @@ def enumerate_simple_paths(g: Network, a: str, b: str, removed: Iterable[str] = 
 
 
 def disconnects(g: Network, removed: Iterable[str], a: str, b: str) -> bool:
-    """True iff deleting ``removed`` leaves no ``a`` to ``b`` route."""
+    """True iff deleting ``removed`` leaves no ``a`` to ``b`` route.
+
+    A breadth-first search from ``a`` that stops on first sight of ``b``.
+    """
     gone = _removal(g, removed, a, b)
     g.require_node(a)
     g.require_node(b)
-    return b not in _reach(g.adjacency, a, gone)
+    adj = g.adjacency
+    seen = {a}
+    queue = [a]
+    for x in queue:
+        for y in adj[x]:
+            if y == b:
+                return False
+            if y not in seen and y not in gone:
+                seen.add(y)
+                queue.append(y)
+    return True
 
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import xor
+from operator import index, xor
 from random import Random
 from typing import Iterable
 
@@ -122,6 +122,13 @@ _MAX_KEY_BITS = 1 << 20  # 128 KiB a key
 
 
 def _require_width(n_bits: int) -> None:
+    # a bool is an int to Python, and would pass as the width 0 or 1
+    try:
+        if isinstance(n_bits, bool):
+            raise TypeError
+        index(n_bits)
+    except TypeError:
+        raise ValueError(f"keys need an integer width, got {n_bits!r}") from None
     if n_bits < 1:
         raise ValueError("keys need at least one bit")
     if n_bits > _MAX_KEY_BITS:

@@ -4,19 +4,22 @@
 patches functions inside its modules. A cleanup that drops one of those
 names breaks the benchmark without failing any other test, so this module
 checks every imported name, every patch target, that a traced op records
-calls at every boundary its workload must reach, and that each module's
-``__all__`` and the package's re-exports agree.
+calls at every boundary its workload must reach, that each module's
+``__all__`` and the package's re-exports agree, and that the assess path
+loads neither the scheduler nor the harness.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
-INIT = ROOT / "src" / "qkdnet" / "__init__.py"
 
 
 def _qkdnet_imports(path: Path):
@@ -79,16 +82,55 @@ def test_all_entries_are_defined(module):
 
 
 def test_package_reexports_only_public_names():
-    reexported = [
-        (node.module, alias.name)
-        for node in ast.walk(ast.parse(INIT.read_text()))
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
-    assert len(reexported) >= 30  # the scan found the package's imports
+    import qkdnet
+
+    reexported = list(qkdnet._EXPORTS.items())
+    assert len(reexported) >= 30  # the table holds the package's exports
     stray = [
         (module, name)
-        for module, name in reexported
+        for name, module in reexported
         if name not in importlib.import_module(f"qkdnet.{module}").__all__
     ]
     assert stray == []
+
+
+def test_every_export_is_its_submodules_object():
+    import qkdnet
+
+    assert qkdnet.__all__ == list(qkdnet._EXPORTS)
+    assert set(qkdnet.__all__) <= set(dir(qkdnet))
+    moved = [
+        name
+        for name, module in qkdnet._EXPORTS.items()
+        if getattr(qkdnet, name) is not getattr(importlib.import_module(f"qkdnet.{module}"), name)
+    ]
+    assert moved == []
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qkdnet.no_such_name
+
+
+# The names the benchmark's assess workloads import from the package.
+ASSESS_NAMES = ["Network", "Scheme", "demo7_network", "max_disjoint_paths", "KeyAssignment", "AttackSet"]
+
+
+def test_assessment_names_never_load_the_scheduler():
+    """``import qkdnet`` loads no submodule; the assess path loads neither
+    the scheduler nor the harness; ``run`` loads both."""
+    probe = (
+        "import sys\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('qkdnet.'))\n"
+        "import qkdnet\n"
+        "print(loaded())\n"
+        f"from qkdnet import {', '.join(ASSESS_NAMES)}\n"
+        "print(loaded())\n"
+        "from qkdnet import run\n"
+        "print(loaded())\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, check=True,
+    )
+    bare, assess, full = (ast.literal_eval(line) for line in out.stdout.splitlines())
+    assert bare == []
+    assert assess and not {"qkdnet.scheduler", "qkdnet.harness"} & set(assess)
+    assert {"qkdnet.scheduler", "qkdnet.harness"} <= set(full)

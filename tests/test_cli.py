@@ -721,6 +721,23 @@ def test_out_of_range_integer_names_its_key(fixture_cfg, tmp_path, capsys, dotte
     assert captured.err.startswith("error:") and named in captured.err
 
 
+@pytest.mark.parametrize(
+    "entry,named",
+    [
+        ({"src": "a", "dst": "b", "w": HUGE}, "schedule.commodities[0] (a->b): utility weight is too large"),
+        ({"src": "a"}, "schedule.commodities[0] needs src and dst, has no 'dst'"),
+        ({"dst": "b"}, "schedule.commodities[0] needs src and dst, has no 'src'"),
+        ("a>b", "schedule.commodities[0] must be a dict, got a str"),
+    ],
+    ids=["huge-w", "no-dst", "no-src", "not-a-dict"],
+)
+def test_bad_commodity_names_its_position_and_pair(tmp_path, capsys, entry, named):
+    cfg = _fixture_set(tmp_path, "schedule.commodities", [entry])
+    assert cli.main(["simulate", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and len(err) < 120  # not the 400 digits
+
+
 def test_string_config_path_is_a_comma_separated_route(tmp_path, capsys):
     cfg = _fixture_set(tmp_path, "security.paths", ["a,c1,c2,b", "a,c3,c4,c5,b"])
     assert cli.main(["assess", cfg, "--attack", "c2"]) == 0

@@ -225,8 +225,9 @@ def test_second_path_reads_at_most_two_adjacencies_per_node():
 
 
 def test_later_paths_match_the_referee_on_mid_size_relay_graphs():
-    """Past the first path the walk backs up and searches afresh: the first
-    200 paths of graphs with 12-30 relays and a random attack."""
+    """Past the first path the walk drops its dead marks whenever a node of
+    a yielded path leaves the trail: the first 200 paths of graphs with
+    12-30 relays and a random attack."""
     rng = Random(31)
     for _ in range(40):
         g = random_relay_graph(rng, rng.randint(12, 30))
@@ -268,6 +269,17 @@ def test_disconnects_matches_brute_dfs():
             for removed in interior_subsets(g, "n0", f"n{n - 1}"):
                 expect = not brute_has_avoiding_path(g, "n0", f"n{n - 1}", removed)
                 assert disconnects(g, removed, "n0", f"n{n - 1}") == expect
+
+
+def test_disconnects_stops_its_search_at_b():
+    """b lies two hops from a, and a 50-node tail hangs off a: the search
+    reads a's neighbours and at most two more before it sees b."""
+    links = [("ax", "a", "x"), ("xb", "x", "b"), ("at", "a", "t0")]
+    links += [(f"e{i}", f"t{i}", f"t{i + 1}") for i in range(49)]
+    g = Network.from_links(links)
+    adj = _counted(g)
+    assert not disconnects(g, (), "a", "b")
+    assert sum(adj.reads.values()) <= 3
 
 
 def test_disconnects_rejects_removed_endpoint():

@@ -22,6 +22,7 @@ from qkdnet.graph_core import Network, Path, max_disjoint_paths
 from qkdnet.security import (
     BROKEN,
     PERFECTLY_SECRET,
+    _MAX_KEY_BITS,
     AttackSet,
     ExchangeTranscript,
     KeyAssignment,
@@ -300,6 +301,22 @@ def test_key_assignment_validation(demo):
     partial = KeyAssignment(4, {"k1": 3})
     with pytest.raises(ValueError):
         partial.validate(demo)
+
+
+@pytest.mark.parametrize("width", [True, False, 16.5, "8", None])
+def test_key_width_must_be_an_integer(demo, width):
+    with pytest.raises(ValueError, match="keys need an integer width"):
+        KeyAssignment.random(demo, width, Random(0))
+    with pytest.raises(ValueError, match="keys need an integer width"):
+        KeyAssignment(width, {})
+
+
+def test_key_width_bounds_are_inclusive():
+    top = KeyAssignment(_MAX_KEY_BITS, {"k1": (1 << _MAX_KEY_BITS) - 1})
+    assert top.n_bits == _MAX_KEY_BITS and KeyAssignment(1, {"k1": 1}).n_bits == 1
+    for width in (0, _MAX_KEY_BITS + 1):
+        with pytest.raises(ValueError, match="keys take at most|keys need at least one bit"):
+            KeyAssignment(width, {})
 
 
 def test_key_assignment_mismatch_names_only_the_differing_ids(demo):
