@@ -125,10 +125,14 @@ class Network:
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
         object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: e.id)))
+        # the node and edge-id sets stay for membership checks, which then
+        # never build the neighbour map
         node_set = set(self.nodes)
         if len(node_set) != len(self.nodes):
             raise ValueError("duplicate node labels")
-        ids = set()
+        ids: set[str] = set()
+        object.__setattr__(self, "_node_set", node_set)
+        object.__setattr__(self, "_edge_ids", ids)
         pairs = set()
         for e in self.edges:
             if e.id in ids:
@@ -180,7 +184,7 @@ class Network:
         return {}
 
     def require_node(self, label: str) -> None:
-        if label not in self.adjacency:
+        if label not in self._node_set:
             raise UnknownNodeError(f"unknown node {label!r}")
 
     def edge_between(self, u: str, v: str) -> Edge | None:
@@ -207,9 +211,9 @@ def _require_pair(g: Network, a: str, b: str) -> None:
 def _removal(g: Network, removed: Iterable[str], a: str, b: str) -> frozenset[str]:
     """``removed`` as a set of the network's nodes, refusing ``a`` and ``b``."""
     gone = frozenset(removed)
-    if not g.adjacency.keys() >= gone:
+    if not g._node_set >= gone:
         # the least unknown label, so the message does not follow the hash seed
-        g.require_node(min(gone - g.adjacency.keys(), key=str))
+        g.require_node(min(gone - g._node_set, key=str))
     for end in (a, b):
         if end in gone:
             raise ValueError(f"cannot remove an endpoint: {end!r}")

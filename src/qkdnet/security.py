@@ -17,15 +17,21 @@ and scheme ``S`` is ``security_oracle(g, S, A) == "perfectly_secret"``.
 It builds the eavesdropper's view with the exchanges' own code, fed one-hot
 masks over the uniform key and coin bits instead of values, and the secret
 is perfectly secret iff its mask lies outside the GF(2) span of the view
-(N. Cai and R. W. Yeung, "Secure Network Coding", ISIT 2002). The test is
-Gaussian elimination on bitmasks and has no size limit. An exhaustive
-enumeration in the test suite referees it on small instances.
+(N. Cai and R. W. Yeung, "Secure Network Coding", ISIT 2002). The view is a
+plain list of masks: the compromised keys in edge order, then the
+announcement values. Only a transcript's ``eve_view`` labels them. The test
+is Gaussian elimination on bitmasks and has no size limit; each known key
+clears its bit from every later mask in one step. Attack and key checks
+read the node and edge-id sets the network keeps, so no verdict sorts a
+neighbour map. An exhaustive enumeration in the test suite referees it on
+small instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import chain
 from operator import index, xor
 from random import Random
 from typing import Iterable
@@ -146,6 +152,9 @@ class KeyAssignment:
         _require_width(self.n_bits)
         top = 1 << self.n_bits
         for eid, value in self.bits.items():
+            # a bool is an int to Python, and would pass as the key 0 or 1
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"key for edge {eid!r} must be an integer, got {value!r}")
             if not 0 <= value < top:
                 raise ValueError(f"key for edge {eid!r} out of range for {self.n_bits} bits")
 
@@ -157,10 +166,9 @@ class KeyAssignment:
 
     def validate(self, g: Network) -> None:
         """Check there is one key per edge; name the missing and unknown ids."""
-        bits = self.bits
-        if len(bits) == len(g.edges) and all(e.id in bits for e in g.edges):
-            return  # edge ids are distinct, so the ids match
-        ids = {e.id for e in g.edges}
+        bits, ids = self.bits, g._edge_ids
+        if bits.keys() == ids:
+            return
         missing = sorted(ids.difference(bits))
         unknown = sorted(bits.keys() - ids)
         raise ValueError(f"key assignment does not match the edges: missing {missing}, unknown {unknown}")
@@ -194,9 +202,14 @@ class ExchangeTranscript:
     def eve_view(self, attack: "AttackSet | Iterable[str]") -> dict[str, int]:
         """All announcements plus the keys of edges touching compromised nodes.
 
-        Keys of edges between two uncompromised nodes never appear here.
+        Keys of edges between two uncompromised nodes never appear here;
+        the key of edge ``e`` is labelled ``key:e``.
         """
-        return _eve_view(self.network, self.announcements, self.keys.bits, attack)
+        view = dict(self.announcements)
+        bits = self.keys.bits
+        for eid in sorted(insecure_edges(self.network, attack)):
+            view[f"key:{eid}"] = bits[eid]
+        return view
 
     def to_text(self) -> str:
         width = max(1, (self.n_bits + 3) // 4)
@@ -209,23 +222,13 @@ class ExchangeTranscript:
 
 
 def insecure_edges(g: Network, attack: "AttackSet | Iterable[str]") -> frozenset[str]:
-    """Ids of edges whose key the eavesdropper learns outright."""
+    """Ids of edges whose key the eavesdropper learns outright.
+
+    One scan of the edge list, keeping each edge with an end in the attack;
+    no neighbour map is built.
+    """
     gone = _removal(g, attack, g.alice, g.bob)
-    links = g._links
-    return frozenset(e.id for v in gone for e in links[v].values())
-
-
-def _eve_view(
-    g: Network,
-    announcements: dict[str, int],
-    keys: dict[str, int],
-    attack: "AttackSet | Iterable[str]",
-) -> dict[str, int]:
-    """Every announcement, plus ``key:<edge>`` for each edge touching the attack."""
-    view = dict(announcements)
-    for eid in sorted(insecure_edges(g, attack)):
-        view[f"key:{eid}"] = keys[eid]
-    return view
+    return frozenset(e.id for e in g.edges if e.u in gone or e.v in gone)
 
 
 def is_strongest(g: Network, attack: "AttackSet | Iterable[str]") -> bool:
@@ -254,22 +257,18 @@ def min_strongest_attack(g: Network) -> AttackSet:
     return AttackSet(min_vertex_cut(g, alice, bob))
 
 
-def _multipath_announcements(
+def _hop_ciphertexts(
     hops: tuple[tuple[Edge, ...], ...],
     message: int,
     coins: list[int],
     keys: dict[str, int],
-) -> dict[str, int]:
-    """``p<i>:<edge>``: path ``i``'s share XOR the key of each of its hops.
+) -> list[int]:
+    """Path ``i``'s share XOR the key of each of its hops, path by path.
 
     The shares are ``message ^ xor(coins)`` for path 0, then the coins.
     """
     shares = [message ^ _xor_all(coins), *coins]
-    return {
-        f"p{i}:{edge.id}": share ^ keys[edge.id]
-        for i, (share, path) in enumerate(zip(shares, hops))
-        for edge in path
-    }
+    return [share ^ keys[edge.id] for share, path in zip(shares, hops) for edge in path]
 
 
 def _m0_announcements(g: Network, keys: dict[str, int]) -> tuple[dict[str, int], int, int]:
@@ -308,7 +307,8 @@ def multipath_exchange(
         raise ValueError(f"message out of range for {keys.n_bits} bits")
     coins = [rng.getrandbits(keys.n_bits) for _ in hops[1:]]
     bits = keys.bits
-    announcements = _multipath_announcements(hops, message, coins, bits)
+    labels = [f"p{i}:{edge.id}" for i, path in enumerate(hops) for edge in path]
+    announcements = dict(zip(labels, _hop_ciphertexts(hops, message, coins, bits)))
     recovered = _xor_all(
         announcements[f"p{i}:{path[-1].id}"] ^ bits[path[-1].id] for i, path in enumerate(hops)
     )
@@ -352,24 +352,23 @@ def m0_exchange(g: Network, keys: KeyAssignment) -> ExchangeTranscript:
     )
 
 
-def _reduce(basis: dict[int, int], mask: int) -> int:
-    """Reduce ``mask`` against a GF(2) basis keyed by each row's top bit."""
-    while mask:
-        row = basis.get(mask.bit_length() - 1)
-        if row is None:
-            return mask
-        mask ^= row
-    return 0
-
-
 def _in_span(view_masks: Iterable[int], secret_mask: int) -> bool:
-    """True iff ``secret_mask`` is an XOR of some of ``view_masks``."""
+    """True iff ``secret_mask`` is an XOR of some of ``view_masks``.
+
+    Each view mask, then the secret's, is reduced against a GF(2) basis
+    keyed by each row's top bit, and joins the basis if anything of it is
+    left. The secret is in the span iff nothing of it is left.
+    """
     basis: dict[int, int] = {}
-    for mask in view_masks:
-        mask = _reduce(basis, mask)
-        if mask:
-            basis[mask.bit_length() - 1] = mask
-    return _reduce(basis, secret_mask) == 0
+    for mask in chain(view_masks, (secret_mask,)):
+        while mask:
+            top = mask.bit_length() - 1
+            row = basis.get(top)
+            if row is None:
+                basis[top] = mask
+                break
+            mask ^= row
+    return not mask
 
 
 def security_oracle(
@@ -386,20 +385,27 @@ def security_oracle(
     otherwise the secret is independent of it: ``perfectly_secret``. No
     connectivity check: disconnected endpoints, where ``m0_exchange``
     raises, come out ``broken``.
+
+    The view is a plain list: the compromised keys in edge order, then the
+    announcement values. A known key's one-hot mask joins the basis at once
+    and clears its bit from each later mask in one step.
     """
     keys = {e.id: 1 << i for i, e in enumerate(g.edges)}
     if isinstance(scheme, str):
         if scheme != "m0":
             raise ValueError(f"unknown scheme kind {scheme!r}")
         announcements, secret, _ = _m0_announcements(g, keys)
+        values = announcements.values()
     else:
         hops = scheme.validate(g)
         m, k = len(keys), len(hops)
         secret = 1 << (m + k - 1)  # the message bit, after the k - 1 coins
         coins = [1 << (m + i) for i in range(k - 1)]
-        announcements = _multipath_announcements(hops, secret, coins, keys)
-    view = _eve_view(g, announcements, keys, attack)
-    return BROKEN if _in_span(view.values(), secret) else PERFECTLY_SECRET
+        values = _hop_ciphertexts(hops, secret, coins, keys)
+    # edge ids sort in edge order, whatever the string hash seed
+    view = [keys[eid] for eid in sorted(insecure_edges(g, attack))]
+    view += values
+    return BROKEN if _in_span(view, secret) else PERFECTLY_SECRET
 
 
 # Canonical demo topology: seven nodes, nine links, two internally disjoint

@@ -74,6 +74,12 @@ def test_network_rejects_unknown_endpoint():
         Network.from_links([("e1", "a", "b")], alice="a", bob="zz")
 
 
+@pytest.mark.parametrize("u,v", [("a", "zz"), ("zz", "a")])
+def test_network_rejects_an_edge_with_one_unknown_end(u, v):
+    with pytest.raises(UnknownNodeError, match="edge 'e1' touches an unknown node"):
+        Network(("a", "b"), (Edge("e1", u, v),))
+
+
 def test_network_rejects_equal_endpoints():
     with pytest.raises(ValueError):
         Network.from_links([("e1", "a", "b")], alice="a", bob="a")
@@ -286,6 +292,9 @@ def test_disconnects_rejects_removed_endpoint():
     g = demo7_network()
     with pytest.raises(ValueError):
         disconnects(g, ["a"], "a", "b")
+    # every node known, so the endpoint check names the endpoint
+    with pytest.raises(ValueError, match="cannot remove an endpoint: 'a'"):
+        disconnects(g, g.nodes, "a", "b")
 
 
 # -- minimum vertex cuts ---------------------------------------------------------

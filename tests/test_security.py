@@ -311,6 +311,12 @@ def test_key_width_must_be_an_integer(demo, width):
         KeyAssignment(width, {})
 
 
+@pytest.mark.parametrize("value", [1.5, True, "3", None])
+def test_key_values_must_be_integers(value):
+    with pytest.raises(ValueError, match=r"key for edge 'k2' must be an integer, got " + repr(value)):
+        KeyAssignment(4, {"k1": 3, "k2": value})
+
+
 def test_key_width_bounds_are_inclusive():
     top = KeyAssignment(_MAX_KEY_BITS, {"k1": (1 << _MAX_KEY_BITS) - 1})
     assert top.n_bits == _MAX_KEY_BITS and KeyAssignment(1, {"k1": 1}).n_bits == 1
@@ -349,6 +355,39 @@ def test_eve_view_never_contains_clean_keys(demo, demo_scheme):
             assert leaked == expected
             # every announcement is public
             assert set(tr.announcements) <= set(view)
+
+
+def test_checks_and_verdicts_never_build_the_neighbour_map(demo_scheme):
+    """Membership reads the network's node and edge-id sets, so a verdict, an
+    attack check or a key check leaves the neighbour map unbuilt, also when
+    the check fails. A multipath verdict maps its hops to edges through
+    ``_links``, but never sorts the neighbours into ``adjacency``."""
+    full = {e.id: 0 for e in demo7_network().edges}
+    calls = [
+        lambda g: security_oracle(g, "m0", ["c1", "c4"]),
+        lambda g: security_oracle(g, "m0", []),
+        lambda g: AttackSet(["c2", "c5"]).validate(g),
+        lambda g: insecure_edges(g, ["c1", "c3"]),
+        lambda g: KeyAssignment(1, full).validate(g),
+    ]
+    failing = [
+        lambda g: security_oracle(g, "m0", ["zz"]),
+        lambda g: AttackSet(["a", "c1"]).validate(g),
+        lambda g: insecure_edges(g, ["c1", "x9"]),
+        lambda g: KeyAssignment(1, {"k1": 0}).validate(g),
+    ]
+    for call in calls + failing:
+        g = demo7_network()
+        try:
+            call(g)
+        except ValueError:
+            assert call in failing
+        else:
+            assert call in calls
+        assert not {"adjacency", "_links"} & g.__dict__.keys()
+    g = demo7_network()
+    assert security_oracle(g, demo_scheme, ["c1"]) == PERFECTLY_SECRET
+    assert "adjacency" not in g.__dict__
 
 
 def _exchange_cases(name):
@@ -460,6 +499,54 @@ def test_multipath_oracle_hit_count_fixture(demo, demo_scheme):
         verdict = security_oracle(demo, demo_scheme, attack)
         expected = BROKEN if hit == len(demo_scheme.paths) else PERFECTLY_SECRET
         assert verdict == expected, attack
+
+
+def _grid_attacks(g, densities, seed):
+    """Seeded attacks on ``g``, five per density, then the minimum cut."""
+    rng = Random(seed)
+    for p in densities:
+        for _ in range(5):
+            yield _random_attack(g, rng, p)
+    yield sorted(min_strongest_attack(g))
+
+
+def test_m0_oracle_dichotomy_on_40x40_grids():
+    for seed in (1, 2):
+        g = grid_network(40)
+        verdicts = set()
+        for attack in _grid_attacks(g, (0.1, 0.3, 0.5), seed):
+            verdict = security_oracle(g, "m0", attack)
+            assert verdict == (BROKEN if is_strongest(g, attack) else PERFECTLY_SECRET), attack
+            verdicts.add(verdict)
+        assert verdicts == {BROKEN, PERFECTLY_SECRET}
+
+
+def test_multipath_oracle_hit_count_on_40x40_grids():
+    for seed in (1, 2):
+        g = grid_network(40)
+        scheme = Scheme(max_disjoint_paths(g, g.alice, g.bob))
+        verdicts = set()
+        for attack in _grid_attacks(g, (0.005, 0.02, 0.05), seed):
+            verdict = security_oracle(g, scheme, attack)
+            hit_all = all(p.interior & set(attack) for p in scheme.paths)
+            assert verdict == (BROKEN if hit_all else PERFECTLY_SECRET), attack
+            verdicts.add(verdict)
+        assert verdicts == {BROKEN, PERFECTLY_SECRET}
+
+
+def test_m0_oracle_on_a_100x100_grid_is_fast():
+    """About 55 ms on a 2-CPU x86 host, where reducing the relay announcements
+    before the known keys and building the neighbour map took about 100 ms.
+    The best of three runs is timed."""
+    g = grid_network(100)
+    attack = _random_attack(g, Random(100), 0.1)
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        verdict = security_oracle(g, "m0", attack)
+        times.append(time.perf_counter() - t0)
+    assert verdict == PERFECTLY_SECRET and not is_strongest(g, attack)
+    assert min(times) < 0.25
 
 
 # -- oracle vs transcripts: empirical perfect secrecy --------------------------------
