@@ -378,12 +378,11 @@ def test_checks_and_verdicts_never_build_the_neighbour_map(demo_scheme):
     ]
     for call in calls + failing:
         g = demo7_network()
-        try:
-            call(g)
-        except ValueError:
-            assert call in failing
+        if call in failing:
+            with pytest.raises(ValueError):
+                call(g)
         else:
-            assert call in calls
+            call(g)
         assert not {"adjacency", "_links"} & g.__dict__.keys()
     g = demo7_network()
     assert security_oracle(g, demo_scheme, ["c1"]) == PERFECTLY_SECRET
@@ -511,8 +510,8 @@ def _grid_attacks(g, densities, seed):
 
 
 def test_m0_oracle_dichotomy_on_40x40_grids():
+    g = grid_network(40)
     for seed in (1, 2):
-        g = grid_network(40)
         verdicts = set()
         for attack in _grid_attacks(g, (0.1, 0.3, 0.5), seed):
             verdict = security_oracle(g, "m0", attack)
@@ -522,13 +521,13 @@ def test_m0_oracle_dichotomy_on_40x40_grids():
 
 
 def test_multipath_oracle_hit_count_on_40x40_grids():
+    g = grid_network(40)
+    scheme = Scheme(max_disjoint_paths(g, g.alice, g.bob))
     for seed in (1, 2):
-        g = grid_network(40)
-        scheme = Scheme(max_disjoint_paths(g, g.alice, g.bob))
         verdicts = set()
         for attack in _grid_attacks(g, (0.005, 0.02, 0.05), seed):
             verdict = security_oracle(g, scheme, attack)
-            hit_all = all(p.interior & set(attack) for p in scheme.paths)
+            hit_all = hit_count_sec(attack, scheme) == 0
             assert verdict == (BROKEN if hit_all else PERFECTLY_SECRET), attack
             verdicts.add(verdict)
         assert verdicts == {BROKEN, PERFECTLY_SECRET}
@@ -536,7 +535,7 @@ def test_multipath_oracle_hit_count_on_40x40_grids():
 
 def test_m0_oracle_on_a_100x100_grid_is_fast():
     """About 55 ms on a 2-CPU x86 host, where reducing the relay announcements
-    before the known keys and building the neighbour map took about 100 ms.
+    before the known keys and building the neighbour map took about 110 ms.
     The best of three runs is timed."""
     g = grid_network(100)
     attack = _random_attack(g, Random(100), 0.1)
