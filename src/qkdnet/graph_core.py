@@ -7,14 +7,16 @@ simulation, scheduling) reads its topology through this module.
 All operations are deterministic: neighbor lists are sorted, path enumeration
 is lexicographic in the node sequence, and cut tie-breaks always pick the
 lexicographically smallest witness, so repeated runs produce identical output.
+The searches run on node indices, places in the sorted ``Network.nodes``, so
+index order is label order; they mark nodes in lists and answer in labels.
 
 Cuts and disjoint paths share one unit-capacity max flow on the node-split
 digraph (Menger's theorem; Edmonds and Karp, JACM 1972). A network computes
 it once per endpoint pair, on first use, and keeps it. An interior node
 carries at most one unit, so the flow is kept as each node's successor and
 predecessor; no reader changes it. Its residual graph, with edge arcs
-uncapped, is read off those links and the adjacency, and one search over
-it (``_spread``) both grows the flow, a shortest augmenting path at a
+uncapped, is read off those links and the index adjacency, and one search
+over it (``_spread``) both grows the flow, a shortest augmenting path at a
 time, and tests the cut. The lexicographically least minimum cut is read
 off that flow: the minimum cuts are the closed sets of its residual graph
 (Picard and Queyranne, Math. Prog. Study 13, 1980), so each candidate
@@ -32,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Container, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
     from .scheduler import LinkParams
@@ -133,16 +135,18 @@ class Network:
         ids: set[str] = set()
         object.__setattr__(self, "_node_set", node_set)
         object.__setattr__(self, "_edge_ids", ids)
-        pairs = set()
+        pairs: dict[tuple[str, str], Edge] = {}  # by sorted end pair; edge_between reads it
+        object.__setattr__(self, "_pairs", pairs)
         for e in self.edges:
             if e.id in ids:
                 raise ValueError(f"duplicate edge id {e.id!r}")
             ids.add(e.id)
             if e.u not in node_set or e.v not in node_set:
                 raise UnknownNodeError(f"edge {e.id!r} touches an unknown node")
-            if e.pair in pairs:
+            pair = (e.u, e.v) if e.u < e.v else (e.v, e.u)
+            if pair in pairs:
                 raise ValueError(f"parallel edge {e.id!r} between {e.u!r} and {e.v!r}")
-            pairs.add(e.pair)
+            pairs[pair] = e
         for label, who in ((self.alice, "alice"), (self.bob, "bob")):
             if label is not None and label not in node_set:
                 raise UnknownNodeError(f"{who} node {label!r} is not in the network")
@@ -166,17 +170,27 @@ class Network:
         return cls(tuple(nodes), edges, alice, bob)
 
     @cached_property
-    def _links(self) -> dict[str, dict[str, Edge]]:
-        """Each node's neighbours, each mapped to the edge that joins them."""
-        links: dict[str, dict[str, Edge]] = {n: {} for n in self.nodes}
+    def _index(self) -> dict[str, int]:
+        """Each node's place in ``nodes``, so index order is label order."""
+        return dict(zip(self.nodes, range(len(self.nodes))))
+
+    @cached_property
+    def _adj(self) -> list[list[int]]:
+        """Each node's neighbours as ascending indices; readers must not change them."""
+        index = self._index
+        adj: list[list[int]] = [[] for _ in self.nodes]
         for e in self.edges:
-            links[e.u][e.v] = e
-            links[e.v][e.u] = e
-        return links
+            i, j = index[e.u], index[e.v]
+            adj[i].append(j)
+            adj[j].append(i)
+        for nbrs in adj:
+            nbrs.sort()
+        return adj
 
     @cached_property
     def adjacency(self) -> dict[str, tuple[str, ...]]:
-        return {n: tuple(sorted(nbrs)) for n, nbrs in self._links.items()}
+        """Each node's neighbour labels in label order: a view of ``_adj``."""
+        return {v: tuple(map(self.nodes.__getitem__, nbrs)) for v, nbrs in zip(self.nodes, self._adj)}
 
     @cached_property
     def _flows(self) -> dict[tuple[str, str], "_SplitFlow"]:
@@ -188,8 +202,7 @@ class Network:
             raise UnknownNodeError(f"unknown node {label!r}")
 
     def edge_between(self, u: str, v: str) -> Edge | None:
-        nbrs = self._links.get(u)
-        return None if nbrs is None else nbrs.get(v)
+        return self._pairs.get((u, v)) or self._pairs.get((v, u))
 
     def require_endpoints(self) -> tuple[str, str]:
         if self.alice is None or self.bob is None:
@@ -198,7 +211,7 @@ class Network:
 
     def degree(self, v: str) -> int:
         self.require_node(v)
-        return len(self.adjacency[v])
+        return len(self._adj[self._index[v]])
 
 
 def _require_pair(g: Network, a: str, b: str) -> None:
@@ -224,13 +237,13 @@ def enumerate_simple_paths(g: Network, a: str, b: str, removed: Iterable[str] = 
     """Yield every simple ``a`` to ``b`` path that avoids the ``removed`` nodes.
 
     Paths come out in lexicographic order of their node sequences because
-    neighbors are tried in sorted order. The walk is a depth-first search
-    (Tarjan, SIAM J. Comput. 1972) that never re-enters a dead node. A trail
-    end with no neighbour left to try is dropped, and the new end tries its
-    neighbours above the dropped one. ``used`` counts the trail's first
-    nodes that lie on a path already yielded. A dropped node outside them
-    reached no path, so it is marked dead; dropping one inside them drops
-    every mark.
+    neighbors are tried in index order, which is label order. The walk is a
+    depth-first search (Tarjan, SIAM J. Comput. 1972) over node indices that
+    never re-enters a dead node. A trail end with no neighbour left to try is
+    dropped, and the new end tries its neighbours above the dropped one.
+    ``used`` counts the trail's first nodes that lie on a path already
+    yielded. A dropped node outside them reached no path and stays marked,
+    as dead; dropping one inside them drops every dead mark.
 
     A dead node cannot reach ``b`` while avoiding the trail, so skipping it
     loses no path. The mark stays true when a dead node ``u`` is dropped: a
@@ -241,31 +254,36 @@ def enumerate_simple_paths(g: Network, a: str, b: str, removed: Iterable[str] = 
     before the next path, so the delay between two paths is O(n*(n+m)).
     """
     _require_pair(g, a, b)
-    adj = g.adjacency
-    gone = _removal(g, removed, a, b)
-    dead = set(gone)  # a removed node is never entered, like a dead one
-    trail, on_trail = [a], {a}
-    after = None  # the node last dropped from the trail's end
+    adj, index, nodes = g._adj, g._index, g.nodes
+    marked = [False] * len(nodes)  # removed, dead or on the trail
+    for v in _removal(g, removed, a, b):
+        marked[index[v]] = True  # a removed node is never entered, like a dead one
+    trail, labels, ib, dead = [index[a]], [a], index[b], []  # labels: the trail's labels
+    marked[trail[0]] = True
+    after = -1  # the node last dropped from the trail's end
     used = 0
     while trail:
         nbrs = adj[trail[-1]]
-        for nxt in nbrs[0 if after is None else bisect(nbrs, after):]:
-            if nxt == b:
+        for nxt in nbrs if after < 0 else nbrs[bisect(nbrs, after):]:
+            if nxt == ib:
                 used = len(trail)
-                yield Path((*trail, b))
-            elif nxt not in dead and nxt not in on_trail:
+                yield Path((*labels, b))
+            elif not marked[nxt]:
                 trail.append(nxt)
-                on_trail.add(nxt)
-                after = None
+                labels.append(nodes[nxt])
+                marked[nxt] = True
+                after = -1
                 break
         else:
             after = trail.pop()
-            on_trail.discard(after)
+            labels.pop()
             if len(trail) < used:
                 used = len(trail)
-                dead = set(gone)
+                for i in (after, *dead):
+                    marked[i] = False
+                dead.clear()
             else:
-                dead.add(after)
+                dead.append(after)
 
 
 def disconnects(g: Network, removed: Iterable[str], a: str, b: str) -> bool:
@@ -276,19 +294,20 @@ def disconnects(g: Network, removed: Iterable[str], a: str, b: str) -> bool:
     gone = _removal(g, removed, a, b)
     g.require_node(a)
     g.require_node(b)
-    adj = g.adjacency
-    seen = {a}
-    queue = [a]
+    adj, index = g._adj, g._index
+    seen = [False] * len(adj)  # the removed nodes count as seen
+    for v in gone:
+        seen[index[v]] = True
+    ib, queue = index[b], [index[a]]
+    seen[queue[0]] = True
     for x in queue:
         for y in adj[x]:
-            if y == b:
+            if y == ib:
                 return False
-            if y not in seen and y not in gone:
-                seen.add(y)
+            if not seen[y]:
+                seen[y] = True
                 queue.append(y)
     return True
-
-
 
 
 class _SplitFlow:
@@ -299,10 +318,11 @@ class _SplitFlow:
     out-copy to ``y``'s in-copy; arcs out of ``b`` or into ``a`` carry no
     flow and are left out. So the flow value is the largest number of
     internally node-disjoint paths. An interior node carries at most one
-    unit, so the flow is kept as links: ``succ[x]`` and ``pred[x]`` for
-    each interior node ``x`` that carries a unit, and ``firsts``, the nodes
-    ``a`` sends a unit to. A unit may also run round a cycle of interior
-    nodes that joins neither endpoint; those links are kept as well.
+    unit, so the flow is kept as links on node indices (``a`` and ``b`` are
+    indices too): lists ``succ`` and ``pred``, with ``succ[x] == x`` when
+    ``x`` carries nothing, and ``firsts``, the nodes ``a`` sends a unit to.
+    A unit may also run round a cycle of interior nodes that joins neither
+    endpoint; those links are kept as well.
 
     Each round a ``_spread`` search from ``a`` finds a shortest augmenting
     path (Edmonds-Karp) and ``_push`` carries a unit along it. The search
@@ -317,29 +337,29 @@ class _SplitFlow:
     """
 
     def __init__(self, g: Network, a: str, b: str) -> None:
-        self.a, self.b = a, b
-        self.succ: dict[str, str] = {}
-        self.pred: dict[str, str] = {}
-        self.firsts: set[str] = set()
-        adj = g.adjacency
-        if g.edge_between(a, b) is not None:
+        self.a, self.b = a, b = g._index[a], g._index[b]
+        adj, n = g._adj, len(g.nodes)
+        self.succ, self.pred = list(range(n)), list(range(n))
+        self.firsts: set[int] = set()
+        if b in adj[a]:
             # the first search would find it, and uncapped it would carry
             # every later unit too
             self.firsts.add(b)
-            adj = {**adj, a: tuple(y for y in adj[a] if y != b)}
-        while not _spread(adj, self.pred, a, {a}, into := {}, halt=b):
+            adj = adj.copy()
+            adj[a] = [y for y in adj[a] if y != b]
+        while not _spread(adj, self.pred, [a], [False] * n, into := [None] * n, halt=b):
             self._push(into[b], into)
         self.value = len(self.firsts)
 
-    def _push(self, x: str, into: dict[str, str]) -> None:
+    def _push(self, x: int, into: list[int | None]) -> None:
         """Carry a unit along the path the search found, from ``x``'s
         out-copy into ``b``, walking back to ``a``."""
         a, b, succ, pred = self.a, self.b, self.succ, self.pred
         y = b
         while True:
             if x == y:  # back over x's node arc: x stops carrying a unit
-                y = succ.pop(x)
-                del pred[x]
+                y = succ[x]
+                succ[x] = pred[x] = x
             else:
                 if y != b:
                     pred[y] = x
@@ -348,7 +368,7 @@ class _SplitFlow:
                     return
                 # x's out-copy was reached from its own in-copy, or back
                 # from the in-copy of its old successor
-                y, succ[x] = succ.get(x, x), y
+                y, succ[x] = succ[x], y
             x = into[y]
 
 
@@ -362,14 +382,8 @@ def _max_flow(g: Network, a: str, b: str) -> _SplitFlow:
 
 
 def _spread(
-    adj: dict[str, tuple[str, ...]],
-    step: dict[str, str],
-    root: str,
-    wide: set[str],
-    narrow: dict[str, str],
-    known_wide: Container[str] = (),
-    known_narrow: Container[str] = (),
-    halt: str | None = None,
+    adj: list[list[int]], step: list[int], queue: list[int], wide: list[bool], narrow: list[int | None],
+    halt: int | None = None,
 ) -> bool:
     """Grow a search of a flow's residual graph with its edge arcs uncapped.
 
@@ -378,30 +392,31 @@ def _spread(
     reach a copy), ``step`` is ``succ`` and the roles swap. The wide copy of
     ``x`` leads to the narrow copies of its neighbours, and of ``x`` itself
     when ``x`` carries a unit; the narrow copy of ``y`` leads to the wide
-    copy of ``step.get(y, y)`` alone. The wide copy of ``x`` is scanned in
-    label order, its own narrow copy at ``x``'s place, so the search is
-    breadth-first in the order of an arc-list search. It starts at the wide
-    copy of ``root``, already in ``wide``; it adds the copies it reaches
-    outside the ``known`` ones to ``wide`` and to ``narrow``, which maps
-    each narrow copy to the wide copy that reached it, and returns False
-    once it reaches the wide copy of ``halt``. So it both tests the cut and
-    builds the flow: ``narrow`` walked back from ``halt`` is an augmenting
-    path.
+    copy of ``step[y]`` alone. The wide copy of ``x`` is scanned in index
+    (so label) order, its own narrow copy at ``x``'s place, so the search is
+    breadth-first in the order of an arc-list search. It marks the wide copy
+    in ``queue``, starts there and appends each wide copy it reaches. The
+    marks are lists over node indices, and a marked copy is never entered:
+    ``wide`` is true on the wide copies reached, and ``narrow`` maps each
+    narrow copy reached to the wide copy that reached it, None where none
+    did. It returns False once it reaches the wide copy of ``halt``. So it
+    both tests the cut and builds the flow: ``narrow`` walked back from
+    ``halt`` is an augmenting path.
     """
-    queue = [root]
+    wide[queue[0]] = True
     for x in queue:
         nbrs = adj[x]
-        if x in step:
+        if step[x] != x:
             i = bisect(nbrs, x)
-            nbrs = (*nbrs[:i], x, *nbrs[i:])
+            nbrs = [*nbrs[:i], x, *nbrs[i:]]
         for y in nbrs:
-            if y not in narrow and y not in known_narrow:
+            if narrow[y] is None:
                 narrow[y] = x
-                z = step.get(y, y)
-                if z not in wide and z not in known_wide:
+                z = step[y]
+                if not wide[z]:
                     if z == halt:
                         return False
-                    wide.add(z)
+                    wide[z] = True
                     queue.append(z)
     return True
 
@@ -418,51 +433,56 @@ def min_vertex_cut(g: Network, a: str, b: str) -> frozenset[str]:
     arcs uncapped, and its minimum cuts are the node-arc sets leaving a
     closed set of the residual graph that holds the source and not the sink
     (Picard and Queyranne, Math. Prog. Study 13, 1980). Each interior node
-    ``v``, in label order, joins the cut iff some minimum cut extends the
-    chosen nodes and ``v``: iff the least closed set holding the source and
-    the in-copies of the chosen nodes and ``v`` misses the sink and their
-    out-copies. That set is the union of their reach sets. So with ``S``
-    the copies the source or a chosen in-copy reaches, and ``F`` those that
-    reach the sink or a chosen out-copy, ``v`` joins iff its in-copy is not
-    in ``F``, its out-copy is not in ``S`` and its in-copy does not reach
-    its out-copy. Accepted nodes grow ``S`` and ``F`` by O(m) over the whole
-    cut; a rejected node costs at most one search from its in-copy, which
-    stops at its out-copy. The worst case is O(k*m + n*m).
+    ``v``, in index (so label) order, joins the cut iff some minimum cut
+    extends the chosen nodes and ``v``: iff the least closed set holding the
+    source and the in-copies of the chosen nodes and ``v`` misses the sink
+    and their out-copies. That set is the union of their reach sets. So
+    with ``S`` the copies the source or a chosen in-copy reaches, and ``F``
+    those that reach the sink or a chosen out-copy, ``v`` joins iff its
+    in-copy is not in ``F``, its out-copy is not in ``S`` and its in-copy
+    does not reach its out-copy. Accepted nodes grow ``S`` and ``F`` by
+    O(m) over the whole cut. A rejected node costs at most one search from
+    its in-copy, which marks into ``S`` and stops at its out-copy, and a
+    rescan of what it reached to take those marks back out; no O(n) marks
+    are allocated per node. The worst case is O(k*m + n*m).
     """
     _require_pair(g, a, b)
     if g.edge_between(a, b) is not None:
         raise DirectLinkError(f"{a!r} and {b!r} share a direct edge; no interior cut exists")
     flow = _max_flow(g, a, b)
-    adj, succ, pred = g.adjacency, flow.succ, flow.pred
-    s_out, s_in = {a}, {}  # S: searched forward, out-copies are wide
-    _spread(adj, pred, a, s_out, s_in)
-    f_in, f_out = {b}, {}  # F: searched backward, in-copies are wide
-    _spread(adj, succ, b, f_in, f_out)
+    adj, succ, pred, n = g._adj, flow.succ, flow.pred, len(g.nodes)
+    s_out, s_in = [False] * n, [None] * n  # S: searched forward, out-copies are wide
+    _spread(adj, pred, [flow.a], s_out, s_in)
+    f_in, f_out = [False] * n, [None] * n  # F: searched backward, in-copies are wide
+    _spread(adj, succ, [flow.b], f_in, f_out)
     chosen: list[str] = []
     need = flow.value
-    for v in g.nodes:
+    for v in range(n):
         if need == 0:
             break
         # F is closed backwards, so when v's in-copy is not in F nothing it
         # reaches is; a node carrying no unit reaches its out-copy at once
-        if v not in pred or v in f_in or v in s_out:
+        if pred[v] == v or f_in[v] or s_out[v]:
             continue
         # v's in-copy has one arc, back to pred[v]'s out-copy
-        wide, narrow = set(), {v: v}
-        if pred[v] not in s_out:
-            wide.add(pred[v])
-            if not _spread(adj, pred, pred[v], wide, narrow, s_out, s_in, halt=v):
-                continue
+        s_in[v] = v
+        if not s_out[pred[v]] and not _spread(adj, pred, queue := [pred[v]], s_out, s_in, halt=v):
+            # v's in-copy reaches its out-copy: unmark what it reached; an
+            # in-copy it reached names a wide copy it reached, no old one
+            s_in[v] = None
+            for x in queue:
+                s_out[x] = False
+                for y in (x, *adj[x]):
+                    if s_in[y] == x:
+                        s_in[y] = None
+            continue
         # S with what v's in-copy reaches is closed and misses v's out-copy,
         # so nothing in it reaches that out-copy: the new F stays disjoint
         # from the new S. v's out-copy is reached back from succ[v]'s in-copy.
-        s_out |= wide
-        s_in |= narrow
         f_out[v] = succ[v]
-        if succ[v] not in f_in:
-            f_in.add(succ[v])
-            _spread(adj, succ, succ[v], f_in, f_out)
-        chosen.append(v)
+        if not f_in[succ[v]]:
+            _spread(adj, succ, [succ[v]], f_in, f_out)
+        chosen.append(g.nodes[v])
         need -= 1
     if need != 0:  # cannot happen: the greedy always completes a minimum cut
         raise AssertionError(f"cut construction stalled at {chosen} (need {need} more)")
@@ -475,16 +495,16 @@ def max_disjoint_paths(g: Network, a: str, b: str) -> tuple[Path, ...]:
     A direct edge, when present, contributes the two-node path. With no
     direct edge the family size equals ``len(min_vertex_cut(g, a, b))``.
     The paths follow the flow's links from each of ``a``'s first hops in
-    label order, so they come out sorted.
+    index order, which is label order, so they come out sorted.
     """
     _require_pair(g, a, b)
     flow = _max_flow(g, a, b)
-    succ = flow.succ
+    nodes, succ = g.nodes, flow.succ
     paths = []
     for y in sorted(flow.firsts):
         trail = [a]
-        while y != b:
-            trail.append(y)
+        while y != flow.b:
+            trail.append(nodes[y])
             y = succ[y]
         trail.append(b)
         paths.append(Path(tuple(trail)))

@@ -181,16 +181,16 @@ def test_walk_matches_the_referee_on_small_cases(name):
     assert list(enumerate_simple_paths(g, "a", "b")) == want
 
 
-class _CountedReads(dict):
-    """An adjacency that counts how often each node's neighbours are read."""
+class _CountedReads(list):
+    """A network's ``_adj`` that counts how often each node's neighbours are read."""
 
     def __init__(self, adj):
         super().__init__(adj)
         self.reads = {}
 
-    def __getitem__(self, key):
-        self.reads[key] = self.reads.get(key, 0) + 1
-        return super().__getitem__(key)
+    def __getitem__(self, i):
+        self.reads[i] = self.reads.get(i, 0) + 1
+        return super().__getitem__(i)
 
 
 def _pocket_links(entries):
@@ -201,7 +201,7 @@ def _pocket_links(entries):
 
 
 def _counted(g: Network) -> _CountedReads:
-    adj = vars(g)["adjacency"] = _CountedReads(g.adjacency)
+    adj = vars(g)["_adj"] = _CountedReads(g._adj)
     return adj
 
 
@@ -213,7 +213,7 @@ def test_first_path_reads_at_most_two_adjacencies_per_node():
     g = Network.from_links(links)
     adj = _counted(g)
     assert next(enumerate_simple_paths(g, "a", "b")) == Path(("a", "z", "b"))
-    assert sum(adj.reads.values()) <= 2 * len(g.nodes)
+    assert adj.reads and sum(adj.reads.values()) <= 2 * len(g.nodes)
 
 
 def test_second_path_reads_at_most_two_adjacencies_per_node():
@@ -227,7 +227,7 @@ def test_second_path_reads_at_most_two_adjacencies_per_node():
     adj = _counted(g)
     paths = enumerate_simple_paths(g, "a", "b")
     assert [next(paths), next(paths)] == [Path(("a", "x", "b")), Path(("a", "x", "z", "b"))]
-    assert sum(adj.reads.values()) <= 2 * len(g.nodes)
+    assert adj.reads and sum(adj.reads.values()) <= 2 * len(g.nodes)
 
 
 def test_later_paths_match_the_referee_on_mid_size_relay_graphs():
@@ -285,7 +285,7 @@ def test_disconnects_stops_its_search_at_b():
     g = Network.from_links(links)
     adj = _counted(g)
     assert not disconnects(g, (), "a", "b")
-    assert sum(adj.reads.values()) <= 3
+    assert adj.reads and sum(adj.reads.values()) <= 3
 
 
 def test_disconnects_rejects_removed_endpoint():
@@ -373,13 +373,29 @@ CIRCULATION_LINKS = [
 
 def test_min_cut_skips_a_candidate_on_a_flow_circulation():
     g = Network.from_links(CIRCULATION_LINKS, alice="r049", bob="r066")
-    flow = _SplitFlow(g, "r049", "r066")
-    assert flow.succ["r081"] == "r020" and flow.succ["r020"] == "r081"
+    flow, at = _SplitFlow(g, "r049", "r066"), g._index
+    assert flow.succ[at["r081"]] == at["r020"] and flow.succ[at["r020"]] == at["r081"]
     expected = frozenset({"r008", "r077"})
     assert brute_min_vertex_cut(g, "r049", "r066") == expected
     assert rerun_min_vertex_cut(g, "r049", "r066") == expected
     assert min_vertex_cut(g, "r049", "r066") == expected
     assert max_disjoint_paths(g, "r049", "r066") == dict_flow_disjoint_paths(g, "r049", "r066")
+
+
+# alice v07 and bob v06; the flow runs v07-v04-v03-v02-v05-v06. The greedy
+# rejects v02 and then v03, whose search crosses in-copies that v02's
+# rejected search marked: unless those marks leave S, v03 takes v04's place.
+REJECTED_MARKS_LINKS = [
+    ("e0004", "v07", "v04"), ("e0102", "v08", "v05"), ("e0205", "v05", "v00"), ("e0206", "v05", "v02"),
+    ("e0209", "v05", "v06"), ("e0304", "v01", "v04"), ("e0307", "v01", "v03"), ("e0308", "v01", "v09"),
+    ("e0407", "v04", "v03"), ("e0408", "v04", "v09"), ("e0508", "v00", "v09"), ("e0607", "v02", "v03"),
+]
+
+
+def test_min_cut_clears_the_marks_of_a_rejected_candidate():
+    g = Network.from_links(REJECTED_MARKS_LINKS, alice="v07", bob="v06")
+    assert brute_min_vertex_cut(g, "v07", "v06") == frozenset({"v04"})
+    assert min_vertex_cut(g, "v07", "v06") == frozenset({"v04"})
 
 
 def test_cut_and_disjoint_paths_match_referees_on_random_label_relay_graphs():
@@ -423,7 +439,7 @@ def test_cut_matches_the_referee_on_random_labelled_graphs(n, p, rng):
     assert max_disjoint_paths(g, a, b) == dict_flow_disjoint_paths(g, a, b)
     for x, y in ((a, b), (b, a)):
         flow, referee = _SplitFlow(g, x, y), SortedSplitFlow(g, x, y)
-        assert (_carried(flow), flow.value) == (referee.carried(), referee.value)
+        assert (_carried(flow, g), flow.value) == (referee.carried(), referee.value)
 
 
 def worst_label_grid(n: int) -> Network:
@@ -582,9 +598,11 @@ def test_results_are_deterministic():
 # -- one max flow per network, kept as links ------------------------------------
 
 
-def _carried(flow):
-    """The edge directions ``(x, y)`` that carry a unit of a ``_SplitFlow``."""
-    return set(flow.succ.items()) | {(flow.a, y) for y in flow.firsts}
+def _carried(flow, g):
+    """The edge directions ``(x, y)`` that carry a unit of a ``_SplitFlow``
+    on ``g``, as label pairs."""
+    pairs = {(x, y) for x, y in enumerate(flow.succ) if y != x} | {(flow.a, y) for y in flow.firsts}
+    return {(g.nodes[x], g.nodes[y]) for x, y in pairs}
 
 
 def _seeded_relay_graph(seed):
@@ -621,7 +639,7 @@ def test_ordered_flow_build_matches_the_sorted_builder(name):
     g = FLOW_BUILD_CASES[name]
     for a, b in ((g.alice, g.bob), (g.bob, g.alice)):
         flow, referee = _SplitFlow(g, a, b), SortedSplitFlow(g, a, b)
-        assert (_carried(flow), flow.value) == (referee.carried(), referee.value)
+        assert (_carried(flow, g), flow.value) == (referee.carried(), referee.value)
 
 
 def test_ordered_flow_build_matches_the_sorted_builder_on_random_label_relay_graphs():
@@ -630,15 +648,15 @@ def test_ordered_flow_build_matches_the_sorted_builder_on_random_label_relay_gra
         g = random_relay_graph(rng, rng.randint(20, 150))
         a, b = g.alice, g.bob
         flow, referee = _SplitFlow(g, a, b), SortedSplitFlow(g, a, b)
-        assert (_carried(flow), flow.value) == (referee.carried(), referee.value)
+        assert (_carried(flow, g), flow.value) == (referee.carried(), referee.value)
 
 
 @pytest.mark.parametrize("g", [FLOW_BUILD_CASES["relay-73"], grid_network(6)], ids=["relay-73", "grid6"])
 def test_residual_search_scans_each_wide_copy_once(g):
-    flow = _SplitFlow(g, g.alice, g.bob)
-    for root, step in ((g.alice, flow.pred), (g.bob, flow.succ)):
-        adj = _CountedReads(g.adjacency)
-        graph_core._spread(adj, step, root, {root}, {})
+    flow, n = _SplitFlow(g, g.alice, g.bob), len(g.nodes)
+    for root, step in ((flow.a, flow.pred), (flow.b, flow.succ)):
+        adj = _CountedReads(g._adj)
+        graph_core._spread(adj, step, [root], [False] * n, [None] * n)
         assert adj.reads and max(adj.reads.values()) == 1, root
 
 

@@ -358,10 +358,10 @@ def test_eve_view_never_contains_clean_keys(demo, demo_scheme):
 
 
 def test_checks_and_verdicts_never_build_the_neighbour_map(demo_scheme):
-    """Membership reads the network's node and edge-id sets, so a verdict, an
-    attack check or a key check leaves the neighbour map unbuilt, also when
-    the check fails. A multipath verdict maps its hops to edges through
-    ``_links``, but never sorts the neighbours into ``adjacency``."""
+    """Membership reads the network's node and edge-id sets, and a hop's
+    edge is looked up by its end pair, so a verdict, a scheme check, an
+    attack check or a key check builds neither the node index nor the
+    neighbour lists nor their label view, also when the check fails."""
     full = {e.id: 0 for e in demo7_network().edges}
     calls = [
         lambda g: security_oracle(g, "m0", ["c1", "c4"]),
@@ -369,12 +369,16 @@ def test_checks_and_verdicts_never_build_the_neighbour_map(demo_scheme):
         lambda g: AttackSet(["c2", "c5"]).validate(g),
         lambda g: insecure_edges(g, ["c1", "c3"]),
         lambda g: KeyAssignment(1, full).validate(g),
+        lambda g: security_oracle(g, demo_scheme, ["c1"]),
+        lambda g: security_oracle(g, demo_scheme, ["c1", "c3"]),
+        lambda g: demo_scheme.validate(g),
     ]
     failing = [
         lambda g: security_oracle(g, "m0", ["zz"]),
         lambda g: AttackSet(["a", "c1"]).validate(g),
         lambda g: insecure_edges(g, ["c1", "x9"]),
         lambda g: KeyAssignment(1, {"k1": 0}).validate(g),
+        lambda g: Scheme.of(("a", "c1", "c5", "b")).validate(g),
     ]
     for call in calls + failing:
         g = demo7_network()
@@ -383,10 +387,8 @@ def test_checks_and_verdicts_never_build_the_neighbour_map(demo_scheme):
                 call(g)
         else:
             call(g)
-        assert not {"adjacency", "_links"} & g.__dict__.keys()
-    g = demo7_network()
-    assert security_oracle(g, demo_scheme, ["c1"]) == PERFECTLY_SECRET
-    assert "adjacency" not in g.__dict__
+        assert not {"_index", "_adj", "adjacency"} & g.__dict__.keys()
+    assert security_oracle(demo7_network(), demo_scheme, ["c1"]) == PERFECTLY_SECRET
 
 
 def _exchange_cases(name):
