@@ -78,10 +78,6 @@ class Edge:
         if self.u == self.v:
             raise ValueError(f"edge {self.id!r} is a self-loop on {self.u!r}")
 
-    @property
-    def pair(self) -> frozenset[str]:
-        return frozenset((self.u, self.v))
-
 
 @dataclass(frozen=True)
 class Path:
@@ -202,7 +198,7 @@ class Network:
             raise UnknownNodeError(f"unknown node {label!r}")
 
     def edge_between(self, u: str, v: str) -> Edge | None:
-        return self._pairs.get((u, v)) or self._pairs.get((v, u))
+        return self._pairs.get((u, v) if u < v else (v, u))
 
     def require_endpoints(self) -> tuple[str, str]:
         if self.alice is None or self.bob is None:

@@ -14,24 +14,21 @@ the XOR of the keys incident to Alice.
 ``security_oracle`` is the package's one secrecy verdict and an independent
 referee for the cut-based assessment: the paper's ``sec`` of attack ``A``
 and scheme ``S`` is ``security_oracle(g, S, A) == "perfectly_secret"``.
-It builds the eavesdropper's view with the exchanges' own code, fed one-hot
-masks over the uniform key and coin bits instead of values, and the secret
-is perfectly secret iff its mask lies outside the GF(2) span of the view
-(N. Cai and R. W. Yeung, "Secure Network Coding", ISIT 2002). The view is a
-plain list of masks: the compromised keys in edge order, then the
-announcement values. Only a transcript's ``eve_view`` labels them. The test
-is Gaussian elimination on bitmasks and has no size limit; each known key
-clears its bit from every later mask in one step. Attack and key checks
-read the node and edge-id sets the network keeps, so no verdict sorts a
-neighbour map. An exhaustive enumeration in the test suite referees it on
-small instances.
+The secret is perfectly secret iff it lies outside the GF(2) span of the
+eavesdropper's view (N. Cai and R. W. Yeung, "Secure Network Coding", ISIT
+2002). With the known keys projected out, each view value is an edge
+vector of a graph, whose span connected components decide (the graphic
+matroid), so the verdict is one union-find pass (Tarjan, JACM 1975) and
+has no size limit. Attack and key checks read the node and edge-id sets
+the network keeps, so no verdict builds a neighbour map. The test suite
+referees it with a GF(2) rank test over one-hot masks and, on small
+instances, an exhaustive enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain
 from operator import index, xor
 from random import Random
 from typing import Iterable
@@ -352,23 +349,15 @@ def m0_exchange(g: Network, keys: KeyAssignment) -> ExchangeTranscript:
     )
 
 
-def _in_span(view_masks: Iterable[int], secret_mask: int) -> bool:
-    """True iff ``secret_mask`` is an XOR of some of ``view_masks``.
+def _root(parent: list | dict, x):
+    """``x``'s union-find root; the walk up halves the path it takes."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
-    Each view mask, then the secret's, is reduced against a GF(2) basis
-    keyed by each row's top bit, and joins the basis if anything of it is
-    left. The secret is in the span iff nothing of it is left.
-    """
-    basis: dict[int, int] = {}
-    for mask in chain(view_masks, (secret_mask,)):
-        while mask:
-            top = mask.bit_length() - 1
-            row = basis.get(top)
-            if row is None:
-                basis[top] = mask
-                break
-            mask ^= row
-    return not mask
+
+def _join(parent: list | dict, x, y) -> None:
+    parent[_root(parent, x)] = _root(parent, y)
 
 
 def security_oracle(
@@ -376,36 +365,50 @@ def security_oracle(
     scheme: "Scheme | str",
     attack: "AttackSet | Iterable[str]",
 ) -> str:
-    """Secrecy verdict by a GF(2) rank test; no size limit.
+    """Secrecy verdict by a union-find over the view's graph; no size limit.
 
-    The scheme's announcements and the view are built with one-hot masks
-    over the uniform bits: edge keys, and for a multi-path scheme Alice's
-    share coins and the message. The view determines the secret iff the
-    secret's mask lies in the GF(2) span of the view's masks: ``broken``;
-    otherwise the secret is independent of it: ``perfectly_secret``. No
-    connectivity check: disconnected endpoints, where ``m0_exchange``
-    raises, come out ``broken``.
+    Over GF(2), with the known keys projected out, each view value is an
+    edge vector ``x_u + x_v``, and a sum of vertices is in their span iff
+    it holds an even number of the vertices of every component not joined
+    to ground (graphic matroid; Whitney 1935, Oxley 1992).
 
-    The view is a plain list: the compromised keys in edge order, then the
-    announcement values. A known key's one-hot mask joins the basis at once
-    and clears its bit from each later mask in one step.
+    m0: the unknown keys are the edges of the graph less the attack, and
+    alice's key is in the span of the relays' rows iff her component there
+    misses bob, so the verdict is ``broken`` iff alice's root differs from
+    bob's. A direct alice-bob edge is ``perfectly_secret``; disconnected
+    endpoints, where ``m0_exchange`` raises, are ``broken``.
+
+    Multipath: a hop ciphertext is the edge from its path's share to the
+    hop's key, and a known key is joined to ground. So paths riding one
+    edge form a group, grounded when one of them meets the attack, and the
+    message (the shares' sum) is ``perfectly_secret`` iff some ungrounded
+    group holds an odd number of paths.
     """
-    keys = {e.id: 1 << i for i, e in enumerate(g.edges)}
     if isinstance(scheme, str):
         if scheme != "m0":
             raise ValueError(f"unknown scheme kind {scheme!r}")
-        announcements, secret, _ = _m0_announcements(g, keys)
-        values = announcements.values()
-    else:
-        hops = scheme.validate(g)
-        m, k = len(keys), len(hops)
-        secret = 1 << (m + k - 1)  # the message bit, after the k - 1 coins
-        coins = [1 << (m + i) for i in range(k - 1)]
-        values = _hop_ciphertexts(hops, secret, coins, keys)
-    # edge ids sort in edge order, whatever the string hash seed
-    view = [keys[eid] for eid in sorted(insecure_edges(g, attack))]
-    view += values
-    return BROKEN if _in_span(view, secret) else PERFECTLY_SECRET
+        alice, bob = g.require_endpoints()
+        gone = _removal(g, attack, alice, bob)
+        parent = dict(zip(g.nodes, g.nodes))
+        for e in g.edges:
+            if e.u not in gone and e.v not in gone:
+                _join(parent, e.u, e.v)
+        return BROKEN if _root(parent, alice) != _root(parent, bob) else PERFECTLY_SECRET
+    hops = scheme.validate(g)
+    gone = _removal(g, attack, g.alice, g.bob)
+    k = len(hops)
+    parent = [*range(k), k]  # the paths, then ground
+    first: dict[str, int] = {}  # edge id -> the first path riding it
+    for i, (path, edges) in enumerate(zip(scheme.paths, hops)):
+        if not gone.isdisjoint(path.nodes):
+            _join(parent, i, k)
+        for e in edges:
+            j = first.setdefault(e.id, i)
+            if j != i:
+                _join(parent, i, j)
+    # the roots of the groups holding an odd number of paths, less ground's
+    odd = reduce(xor, ({_root(parent, i)} for i in range(k)), set()) - {_root(parent, k)}
+    return PERFECTLY_SECRET if odd else BROKEN
 
 
 # Canonical demo topology: seven nodes, nine links, two internally disjoint

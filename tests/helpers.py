@@ -9,6 +9,7 @@ module may call the routines it is used to verify.
 import csv
 import itertools
 import math
+import sys
 from collections import deque
 from random import Random
 
@@ -25,7 +26,15 @@ from qkdnet.scheduler import (
     admit,
     key_consumption,
 )
-from qkdnet.security import BROKEN, PERFECTLY_SECRET, AttackSet, Scheme
+from qkdnet.security import (
+    BROKEN,
+    PERFECTLY_SECRET,
+    AttackSet,
+    Scheme,
+    _hop_ciphertexts,
+    _m0_announcements,
+    insecure_edges,
+)
 
 
 # -- labeled graph enumeration over bitmasks ---------------------------------
@@ -427,6 +436,39 @@ def _hops_from(root: int, links) -> dict[int, int]:
     return hops
 
 
+# -- step counting ---------------------------------------------------------------
+
+class OverBudget(Exception):
+    """A traced call ran more line events than its budget allows."""
+
+
+def line_events(functions, budget: int, call) -> int:
+    """Run ``call()`` and count the line events in the code of ``functions``.
+
+    Past ``budget`` events it raises OverBudget from inside the traced
+    code, so a search that loops fails at once instead of hanging the
+    suite. Returns the count.
+    """
+    codes = {f.__code__ for f in functions}
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+            if count > budget:
+                raise OverBudget(f"more than {budget} line events")
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code in codes else None)
+    try:
+        call()
+    finally:
+        sys.settrace(old)
+    return count
+
+
 # -- hit-count referees for disjoint routes -------------------------------------
 
 # the two internally disjoint relay routes of the seven-node demo network
@@ -550,6 +592,58 @@ def enumerate_oracle(g: Network, scheme, attack) -> str:
         view = (view << np.uint64(1)) | _parity(outcomes, mask)
     secret = _parity(outcomes, secret_mask)
     return PERFECTLY_SECRET if _uniform_given_view(view, secret) else BROKEN
+
+
+# -- GF(2) rank-test referee ---------------------------------------------------
+
+def in_span(view_masks, secret_mask: int) -> bool:
+    """True iff ``secret_mask`` is an XOR of some of ``view_masks``.
+
+    Each view mask, then the secret's, is reduced against a GF(2) basis
+    keyed by each row's top bit, and joins the basis if anything of it is
+    left. The secret is in the span iff nothing of it is left.
+    """
+    basis: dict[int, int] = {}
+    for mask in itertools.chain(view_masks, (secret_mask,)):
+        while mask:
+            top = mask.bit_length() - 1
+            row = basis.get(top)
+            if row is None:
+                basis[top] = mask
+                break
+            mask ^= row
+    return not mask
+
+
+def rank_oracle(g: Network, scheme, attack) -> str:
+    """Secrecy verdict by a GF(2) rank test: the referee for the union-find
+    in ``security_oracle`` on instances of any size.
+
+    The scheme's announcements are built with the exchanges' own code
+    (``_m0_announcements``, ``_hop_ciphertexts``), fed one-hot masks over
+    the uniform bits instead of values: edge keys, and for a multi-path
+    scheme Alice's coins and the message. The view is the compromised keys'
+    masks in edge order, then the announcement values; the secret is
+    ``broken`` iff its mask lies in their span (N. Cai and R. W. Yeung,
+    "Secure Network Coding", ISIT 2002). No connectivity check, so
+    disconnected endpoints come out ``broken``.
+    """
+    keys = {e.id: 1 << i for i, e in enumerate(g.edges)}
+    if isinstance(scheme, str):
+        if scheme != "m0":
+            raise ValueError(f"unknown scheme kind {scheme!r}")
+        announcements, secret, _ = _m0_announcements(g, keys)
+        values = announcements.values()
+    else:
+        hops = scheme.validate(g)
+        m, k = len(keys), len(hops)
+        secret = 1 << (m + k - 1)  # the message bit, after the k - 1 coins
+        coins = [1 << (m + i) for i in range(k - 1)]
+        values = _hop_ciphertexts(hops, secret, coins, keys)
+    # edge ids sort in edge order, whatever the string hash seed
+    view = [keys[eid] for eid in sorted(insecure_edges(g, attack))]
+    view += values
+    return BROKEN if in_span(view, secret) else PERFECTLY_SECRET
 
 
 # -- scheduling networks -------------------------------------------------------

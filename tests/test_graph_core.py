@@ -32,6 +32,7 @@ from helpers import (
     dict_flow_disjoint_paths,
     grid_network,
     interior_subsets,
+    line_events,
     network_from_mask,
     pair_list,
     random_connected_mask,
@@ -102,8 +103,43 @@ def test_edge_between_and_other():
     g = demo7_network()
     e = g.edge_between("a", "c1")
     assert e is not None and e.id == "k1"
-    assert e.pair == {"a", "c1"} and g.edge_between("c1", "a") is e
+    assert {e.u, e.v} == {"a", "c1"} and g.edge_between("c1", "a") is e
     assert g.edge_between("a", "c5") is None
+
+
+# -- step bounds: a walk or a flow build that loops fails at once -----------------
+# (they come before every other walk and flow test, so a looping mutant of
+# either fails here in seconds)
+
+def test_walk_steps_are_linear_on_a_20x20_grid():
+    """The first path costs O(n+m): a few line events per node and per
+    neighbour read, and each node's neighbours are read at most twice. It
+    snakes through most of the grid. With all but column 0, ``g1_1`` and
+    ``g0_1`` removed, two paths join ``g19_0`` to ``g0_1``, the first
+    through node index 0, which leaves the trail right after that path
+    with the marks reset; listing both costs O(n+m) too."""
+    g = grid_network(20)
+    assert g.nodes[0] == "g0_0"
+    budget = 8 * (len(g.nodes) + len(g.edges))
+    assert line_events([enumerate_simple_paths], budget, lambda: next(enumerate_simple_paths(g, g.alice, g.bob)))
+    keep = {f"g{r}_0" for r in range(20)} | {"g1_1", "g0_1"}
+    removed = [v for v in g.nodes if v not in keep]
+    paths = []
+    line_events([enumerate_simple_paths], budget, lambda: paths.extend(enumerate_simple_paths(g, "g19_0", "g0_1", removed)))
+    assert [p.nodes[-3:] for p in paths] == [("g1_0", "g0_0", "g0_1"), ("g1_0", "g1_1", "g0_1")]
+
+
+@pytest.mark.parametrize("a,b", [("g0_0", "g19_19"), ("g19_19", "g0_0"), ("g0_0", "g0_1"), ("g5_5", "g15_15")])
+def test_flow_build_steps_are_linear_per_unit_on_a_20x20_grid(a, b):
+    """A flow of value k is built in k + 1 searches of the residual graph,
+    each O(n+m), and k is at most 4 on a grid. ``g0_0`` and ``g0_1`` share
+    a direct edge, which carries its unit up front."""
+    g = grid_network(20)
+    budget = 8 * 5 * (len(g.nodes) + len(g.edges))
+    flows = []
+    steps = [_SplitFlow.__init__, _SplitFlow._push, graph_core._spread]
+    assert line_events(steps, budget, lambda: flows.append(_SplitFlow(g, a, b)))
+    assert flows[0].value == SortedSplitFlow(g, a, b).value
 
 
 # -- simple path enumeration ----------------------------------------------------

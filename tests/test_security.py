@@ -3,9 +3,10 @@
 The heaviest checks here enumerate every key assignment through the actual
 exchange code and test perfect secrecy empirically from the transcripts,
 then demand agreement with security_oracle's verdicts. That route shares no
-code with the oracle's rank test. The enumeration referee in helpers must
-also agree with the rank test verdict for verdict, and must still refuse
-what it cannot enumerate.
+code with the oracle's union-find. Two referees in helpers must agree with
+it verdict for verdict: the GF(2) rank test, on instances of any size, and
+the exhaustive enumeration, which must still refuse what it cannot
+enumerate.
 """
 
 import hashlib
@@ -18,6 +19,7 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
+from qkdnet import security
 from qkdnet.graph_core import Network, Path, max_disjoint_paths
 from qkdnet.security import (
     BROKEN,
@@ -43,6 +45,7 @@ from helpers import (
     DEMO7_ROUTE_SHORT,
     EnumerationSizeError,
     backtracking_secure_path,
+    backtracking_simple_paths,
     brute_all_paths,
     brute_has_avoiding_path,
     canonical_mask,
@@ -51,12 +54,14 @@ from helpers import (
     grid_network,
     hit_count_sec,
     interior_subsets,
+    line_events,
     mask_connected,
     network_from_mask,
     pair_list,
     per_node_xors,
     random_relay_graph,
     random_connected_mask,
+    rank_oracle,
     scheme_threshold,
 )
 
@@ -114,6 +119,25 @@ def test_scheme_validate_checks_hops(demo):
     bad = Scheme.of(["a", "c5", "b"])  # a-c5 edge does not exist
     with pytest.raises(ValueError):
         bad.validate(demo)
+
+
+# -- step bound: a verdict that loops fails at once -------------------------------
+# (it comes before every other verdict test, so a looping mutant of the
+# union-find fails here in seconds)
+
+@pytest.mark.parametrize("share", [0.0, 0.1, 0.3])
+def test_verdict_steps_are_linear_on_a_20x20_grid(share):
+    """An m0 verdict is one pass over the edges and a multipath verdict one
+    pass over the hops, a few line events each plus the root walks, which
+    path halving keeps short: about 4-8 line events per node and edge on
+    this grid, with the paths' hops far fewer than the edges."""
+    g = grid_network(20)
+    scheme = Scheme(max_disjoint_paths(g, g.alice, g.bob))
+    attack = _random_attack(g, Random(20), share)
+    budget = 16 * (len(g.nodes) + len(g.edges))
+    steps = [security.security_oracle, security._root, security._join]
+    for s in ("m0", scheme):
+        assert line_events(steps, budget, lambda: security_oracle(g, s, attack))
 
 
 # -- structural assessment --------------------------------------------------------
@@ -536,9 +560,9 @@ def test_multipath_oracle_hit_count_on_40x40_grids():
 
 
 def test_m0_oracle_on_a_100x100_grid_is_fast():
-    """About 55 ms on a 2-CPU x86 host, where reducing the relay announcements
-    before the known keys and building the neighbour map took about 110 ms.
-    The best of three runs is timed."""
+    """About 9-15 ms on a 2-CPU x86 host with the union-find, where the GF(2)
+    rank test over one-hot masks took 53-79 ms. The best of three runs is
+    timed."""
     g = grid_network(100)
     attack = _random_attack(g, Random(100), 0.1)
     times = []
@@ -548,6 +572,24 @@ def test_m0_oracle_on_a_100x100_grid_is_fast():
         times.append(time.perf_counter() - t0)
     assert verdict == PERFECTLY_SECRET and not is_strongest(g, attack)
     assert min(times) < 0.25
+
+
+def test_multipath_oracle_on_a_100x100_grid_is_fast():
+    """The grid's maximum disjoint family with a fiftieth of the relays
+    attacked: about 0.35-0.5 ms on a 2-CPU x86 host with the union-find,
+    where the GF(2) rank test took 11-16 ms. The best of three runs is
+    timed."""
+    g = grid_network(100)
+    scheme = Scheme(max_disjoint_paths(g, g.alice, g.bob))
+    for seed in (1, 100):
+        attack = _random_attack(g, Random(seed), 0.02)
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            verdict = security_oracle(g, scheme, attack)
+            times.append(time.perf_counter() - t0)
+        assert verdict == rank_oracle(g, scheme, attack)
+        assert min(times) < 0.005
 
 
 # -- oracle vs transcripts: empirical perfect secrecy --------------------------------
@@ -616,11 +658,13 @@ def test_m0_oracle_small_random_graphs():
             assert verdict == expected, (n, attack)
 
 
-# -- rank test vs enumeration referee --------------------------------------------------
+# -- union-find vs the rank-test and enumeration referees ----------------------------
 
 def _assert_agree(g, scheme, attack):
     verdict = security_oracle(g, scheme, attack)
-    assert verdict == enumerate_oracle(g, scheme, attack), (g.edges, scheme, attack)
+    assert verdict == rank_oracle(g, scheme, attack) == enumerate_oracle(g, scheme, attack), (
+        g.edges, scheme, attack,
+    )
     return verdict
 
 
@@ -705,3 +749,52 @@ def test_rank_test_matches_referee_overlapping_paths():
             if paths[0].interior & paths[1].interior:
                 for attack in interior_subsets(g, "n0", "n4"):
                     _assert_agree(g, Scheme(paths), attack)
+
+
+# -- union-find vs the rank test on random graphs -------------------------------------
+
+def _endpoint_graph(rng, n, shape):
+    """A random graph on ``n0``..``n<n-1>`` with alice ``n0`` and bob the
+    last node, by ``shape``: connected with no alice-bob edge, connected
+    with one, or split so that no route joins alice to bob."""
+    pairs = pair_list(n)
+    direct = 1 << pairs.index((0, n - 1))
+    while True:
+        mask = random_connected_mask(n, rng)
+        if shape == "direct":
+            return network_from_mask(n, mask | direct)
+        if shape == "connected":
+            if mask_connected(n, mask & ~direct, pairs):
+                return network_from_mask(n, mask & ~direct)
+            continue
+        side = {0} | {i for i in range(1, n - 1) if rng.random() < 0.5}
+        return network_from_mask(n, sum(
+            1 << idx for idx, (i, j) in enumerate(pairs) if mask >> idx & 1 and (i in side) == (j in side)
+        ))
+
+
+@given(st.integers(0, 10**6), st.integers(3, 9), st.sampled_from(["connected", "direct", "split"]))
+def test_m0_union_find_matches_the_rank_test_on_random_graphs(seed, n, shape):
+    rng = Random(seed)
+    g = _endpoint_graph(rng, n, shape)
+    assert (g.edge_between(g.alice, g.bob) is not None) == (shape == "direct")
+    assert is_strongest(g, []) == (shape == "split")
+    for _ in range(8):
+        attack = _random_attack(g, rng, rng.random())
+        verdict = security_oracle(g, "m0", attack)
+        assert verdict == rank_oracle(g, "m0", attack), attack
+        if shape != "connected":
+            assert verdict == (BROKEN if shape == "split" else PERFECTLY_SECRET)
+
+
+@given(st.integers(0, 10**6), st.integers(3, 9))
+def test_multipath_union_find_matches_the_rank_test_on_overlapping_routes(seed, n):
+    """Schemes of 1-4 random simple routes, which on graphs this small
+    mostly share edges and relays, where the path hit count is no referee."""
+    rng = Random(seed)
+    g = network_from_mask(n, random_connected_mask(n, rng, p=0.5))
+    routes = list(backtracking_simple_paths(g, g.alice, g.bob))
+    scheme = Scheme(tuple(rng.sample(routes, min(len(routes), rng.randint(1, 4)))))
+    for _ in range(8):
+        attack = _random_attack(g, rng, rng.random())
+        assert security_oracle(g, scheme, attack) == rank_oracle(g, scheme, attack), (scheme, attack)
