@@ -19,7 +19,6 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
-from qkdnet import security
 from qkdnet.graph_core import Network, Path, max_disjoint_paths
 from qkdnet.security import (
     BROKEN,
@@ -29,7 +28,9 @@ from qkdnet.security import (
     ExchangeTranscript,
     KeyAssignment,
     Scheme,
+    _join,
     _m0_announcements,
+    _root,
     demo7_network,
     find_secure_path,
     insecure_edges,
@@ -135,7 +136,7 @@ def test_verdict_steps_are_linear_on_a_20x20_grid(share):
     scheme = Scheme(max_disjoint_paths(g, g.alice, g.bob))
     attack = _random_attack(g, Random(20), share)
     budget = 16 * (len(g.nodes) + len(g.edges))
-    steps = [security.security_oracle, security._root, security._join]
+    steps = [security_oracle, _root, _join]
     for s in ("m0", scheme):
         assert line_events(steps, budget, lambda: security_oracle(g, s, attack))
 
@@ -576,8 +577,8 @@ def test_m0_oracle_on_a_100x100_grid_is_fast():
 
 def test_multipath_oracle_on_a_100x100_grid_is_fast():
     """The grid's maximum disjoint family with a fiftieth of the relays
-    attacked: about 0.35-0.5 ms on a 2-CPU x86 host with the union-find,
-    where the GF(2) rank test took 11-16 ms. The best of three runs is
+    attacked: about 0.25-0.5 ms on a 2-CPU x86 host with the union-find,
+    where the GF(2) rank test took 10-16 ms. The best of three runs is
     timed."""
     g = grid_network(100)
     scheme = Scheme(max_disjoint_paths(g, g.alice, g.bob))
