@@ -25,7 +25,7 @@ import math
 import sys
 from dataclasses import dataclass
 from random import Random
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 import yaml
 
@@ -56,6 +56,13 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors exit 1 through ``main``, like a bad config."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
 
 
 @dataclass(frozen=True)
@@ -416,13 +423,13 @@ def _cmd_sweep(cfg: _Config, args: argparse.Namespace) -> int:
     commodities = _require_commodities(cfg)
     R_max = _sched_value(cfg, args, "R_max", "r_max")
     T = _sched_value(cfg, args, "T", "horizon")
-    if args.v_values:
+    if args.v_values is not None:
         v_values = [_flag_int(s, "--v-values") for s in args.v_values.split(",")]
     else:
         v_values = cfg.schedule.get("V_values")
         if not v_values:
             raise ConfigError("sweep needs --v-values or schedule.V_values")
-    seeds = [_flag_int(s, "--seeds") for s in args.seeds.split(",")] if args.seeds else [cfg.seed]
+    seeds = [_flag_int(s, "--seeds") for s in args.seeds.split(",")] if args.seeds is not None else [cfg.seed]
     tie_mode = args.tie_mode or cfg.schedule.get("tie_mode") or "random"
     try:
         rows = v_sweep(cfg.network, commodities, R_max, T, v_values, seeds, tie_mode)
@@ -460,7 +467,7 @@ def _cmd_oracle(cfg: _Config, args: argparse.Namespace) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qkdnet",
         description="Security assessment and key-aware scheduling for trusted-relay networks.",
     )
@@ -520,9 +527,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _load_config(args)
         if args.dump_config:
             sys.stdout.write(yaml.safe_dump(cfg.doc, sort_keys=True, default_flow_style=False))

@@ -9,6 +9,9 @@ is lexicographic in the node sequence, and cut tie-breaks always pick the
 lexicographically smallest witness, so repeated runs produce identical output.
 The searches run on node indices, places in the sorted ``Network.nodes``, so
 index order is label order; they mark nodes in lists and answer in labels.
+A network builds its label-to-index map and its sorted neighbour index
+lists in its constructor, in the edge pass that refuses duplicate ids and
+parallel edges, so no search pays for them.
 
 Cuts and disjoint paths share one unit-capacity max flow on the node-split
 digraph (Menger's theorem; Edmonds and Karp, JACM 1972). A network computes
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
@@ -97,13 +99,11 @@ class Path:
 
     def edges_in(self, g: "Network") -> tuple[Edge, ...]:
         """Map each hop to the network edge it rides on (errors if absent)."""
-        out = []
-        for u, v in zip(self.nodes, self.nodes[1:]):
-            edge = g.edge_between(u, v)
-            if edge is None:
-                raise ValueError(f"path hop {u!r}-{v!r} has no edge in the network")
-            out.append(edge)
-        return tuple(out)
+        edges = tuple(map(g.edge_between, self.nodes, self.nodes[1:]))
+        if not all(edges):
+            i = edges.index(None)  # the first missing hop
+            raise ValueError(f"path hop {self.nodes[i]!r}-{self.nodes[i + 1]!r} has no edge in the network")
+        return edges
 
 
 @dataclass(frozen=True)
@@ -123,31 +123,35 @@ class Network:
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
         object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: e.id)))
-        # the node and edge-id sets stay for membership checks, which then
-        # never build the neighbour map
-        node_set = set(self.nodes)
-        if len(node_set) != len(self.nodes):
+        # each node's place in ``nodes``, so index order is label order
+        index = dict(zip(self.nodes, range(len(self.nodes))))
+        if len(index) != len(self.nodes):
             raise ValueError("duplicate node labels")
         ids: set[str] = set()
-        object.__setattr__(self, "_node_set", node_set)
-        object.__setattr__(self, "_edge_ids", ids)
         pairs: dict[tuple[str, str], Edge] = {}  # by sorted end pair; edge_between reads it
-        object.__setattr__(self, "_pairs", pairs)
+        adj: list[list[int]] = [[] for _ in self.nodes]  # readers must not change it
         for e in self.edges:
             if e.id in ids:
                 raise ValueError(f"duplicate edge id {e.id!r}")
             ids.add(e.id)
-            if e.u not in node_set or e.v not in node_set:
+            if e.u not in index or e.v not in index:
                 raise UnknownNodeError(f"edge {e.id!r} touches an unknown node")
             pair = (e.u, e.v) if e.u < e.v else (e.v, e.u)
             if pair in pairs:
                 raise ValueError(f"parallel edge {e.id!r} between {e.u!r} and {e.v!r}")
             pairs[pair] = e
+            i, j = index[e.u], index[e.v]
+            adj[i].append(j)
+            adj[j].append(i)
+        for nbrs in adj:
+            nbrs.sort()
         for label, who in ((self.alice, "alice"), (self.bob, "bob")):
-            if label is not None and label not in node_set:
+            if label is not None and label not in index:
                 raise UnknownNodeError(f"{who} node {label!r} is not in the network")
         if self.alice is not None and self.alice == self.bob:
             raise ValueError("alice and bob must be distinct nodes")
+        # _flows: the max flow of each endpoint pair asked about, built on first use
+        vars(self).update(_index=index, _edge_ids=ids, _pairs=pairs, _adj=adj, _flows={})
 
     @classmethod
     def from_links(
@@ -165,36 +169,8 @@ class Network:
             nodes.update((e.u, e.v))
         return cls(tuple(nodes), edges, alice, bob)
 
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        """Each node's place in ``nodes``, so index order is label order."""
-        return dict(zip(self.nodes, range(len(self.nodes))))
-
-    @cached_property
-    def _adj(self) -> list[list[int]]:
-        """Each node's neighbours as ascending indices; readers must not change them."""
-        index = self._index
-        adj: list[list[int]] = [[] for _ in self.nodes]
-        for e in self.edges:
-            i, j = index[e.u], index[e.v]
-            adj[i].append(j)
-            adj[j].append(i)
-        for nbrs in adj:
-            nbrs.sort()
-        return adj
-
-    @cached_property
-    def adjacency(self) -> dict[str, tuple[str, ...]]:
-        """Each node's neighbour labels in label order: a view of ``_adj``."""
-        return {v: tuple(map(self.nodes.__getitem__, nbrs)) for v, nbrs in zip(self.nodes, self._adj)}
-
-    @cached_property
-    def _flows(self) -> dict[tuple[str, str], "_SplitFlow"]:
-        """The max flow of each endpoint pair asked about, built once."""
-        return {}
-
     def require_node(self, label: str) -> None:
-        if label not in self._node_set:
+        if label not in self._index:
             raise UnknownNodeError(f"unknown node {label!r}")
 
     def edge_between(self, u: str, v: str) -> Edge | None:
@@ -220,9 +196,9 @@ def _require_pair(g: Network, a: str, b: str) -> None:
 def _removal(g: Network, removed: Iterable[str], a: str, b: str) -> frozenset[str]:
     """``removed`` as a set of the network's nodes, refusing ``a`` and ``b``."""
     gone = frozenset(removed)
-    if not g._node_set >= gone:
+    if not g._index.keys() >= gone:
         # the least unknown label, so the message does not follow the hash seed
-        g.require_node(min(gone - g._node_set, key=str))
+        g.require_node(min(gone.difference(g._index), key=str))
     for end in (a, b):
         if end in gone:
             raise ValueError(f"cannot remove an endpoint: {end!r}")

@@ -227,7 +227,7 @@ def oracle_optimal(
     pairs = sorted(commodities)
     utils = [commodities[p] for p in pairs]
     n, m, n_c = len(network.nodes), len(network.edges), len(pairs)
-    index = {v: i for i, v in enumerate(network.nodes)}
+    index = network._index
 
     # node-arc incidence: arc a < m runs u->v along edge a, arc m + a runs v->u
     ends_u = [index[e.u] for e in network.edges]

@@ -18,11 +18,11 @@ The secret is perfectly secret iff it lies outside the GF(2) span of the
 eavesdropper's view (N. Cai and R. W. Yeung, "Secure Network Coding", ISIT
 2002). With the known keys projected out, each view value is an edge
 vector of a graph, whose span connected components decide (the graphic
-matroid), so the verdict is one union-find pass (Tarjan, JACM 1975) and
-has no size limit. Attack and key checks read the node and edge-id sets
-the network keeps, so no verdict builds a neighbour map. The test suite
-referees it with a GF(2) rank test over one-hot masks and, on small
-instances, an exhaustive enumeration.
+matroid). So the m0 verdict is ``is_strongest``, one breadth-first search,
+and the multipath verdict one union-find pass over the paths (Tarjan, JACM
+1975); neither has a size limit. The test suite referees it with a GF(2)
+rank test over one-hot masks and, on small instances, an exhaustive
+enumeration.
 """
 
 from __future__ import annotations
@@ -221,8 +221,7 @@ class ExchangeTranscript:
 def insecure_edges(g: Network, attack: "AttackSet | Iterable[str]") -> frozenset[str]:
     """Ids of edges whose key the eavesdropper learns outright.
 
-    One scan of the edge list, keeping each edge with an end in the attack;
-    no neighbour map is built.
+    One scan of the edge list, keeping each edge with an end in the attack.
     """
     gone = _removal(g, attack, g.alice, g.bob)
     return frozenset(e.id for e in g.edges if e.u in gone or e.v in gone)
@@ -349,14 +348,14 @@ def m0_exchange(g: Network, keys: KeyAssignment) -> ExchangeTranscript:
     )
 
 
-def _root(parent: list | dict, x):
+def _root(parent: list[int], x: int) -> int:
     """``x``'s union-find root; the walk up halves the path it takes."""
     while parent[x] != x:
         parent[x] = x = parent[parent[x]]
     return x
 
 
-def _join(parent: list | dict, x, y) -> None:
+def _join(parent: list[int], x: int, y: int) -> None:
     parent[_root(parent, x)] = _root(parent, y)
 
 
@@ -365,7 +364,7 @@ def security_oracle(
     scheme: "Scheme | str",
     attack: "AttackSet | Iterable[str]",
 ) -> str:
-    """Secrecy verdict by a union-find over the view's graph; no size limit.
+    """Secrecy verdict over the view's graph; no size limit.
 
     Over GF(2), with the known keys projected out, each view value is an
     edge vector ``x_u + x_v``, and a sum of vertices is in their span iff
@@ -374,26 +373,21 @@ def security_oracle(
 
     m0: the unknown keys are the edges of the graph less the attack, and
     alice's key is in the span of the relays' rows iff her component there
-    misses bob, so the verdict is ``broken`` iff alice's root differs from
-    bob's. A direct alice-bob edge is ``perfectly_secret``; disconnected
-    endpoints, where ``m0_exchange`` raises, are ``broken``.
+    misses bob, so the verdict is ``broken`` iff the attack is strongest
+    (``is_strongest``). A direct alice-bob edge is ``perfectly_secret``;
+    disconnected endpoints, where ``m0_exchange`` raises, are ``broken``.
 
     Multipath: a hop ciphertext is the edge from its path's share to the
     hop's key, and a known key is joined to ground. So paths riding one
     edge form a group, grounded when one of them meets the attack, and the
     message (the shares' sum) is ``perfectly_secret`` iff some ungrounded
-    group holds an odd number of paths.
+    group holds an odd number of paths; a union-find over the path
+    indices finds the groups.
     """
     if isinstance(scheme, str):
         if scheme != "m0":
             raise ValueError(f"unknown scheme kind {scheme!r}")
-        alice, bob = g.require_endpoints()
-        gone = _removal(g, attack, alice, bob)
-        parent = dict(zip(g.nodes, g.nodes))
-        for e in g.edges:
-            if e.u not in gone and e.v not in gone:
-                _join(parent, e.u, e.v)
-        return BROKEN if _root(parent, alice) != _root(parent, bob) else PERFECTLY_SECRET
+        return BROKEN if is_strongest(g, attack) else PERFECTLY_SECRET
     hops = scheme.validate(g)
     gone = _removal(g, attack, g.alice, g.bob)
     k = len(hops)

@@ -119,19 +119,35 @@ def random_connected_mask(n: int, rng: Random, p: float = 0.45) -> int:
 
 # -- brute-force path and cut oracles ----------------------------------------
 
+def adjacency(g: Network) -> dict[str, tuple[str, ...]]:
+    """Each node's neighbour labels in label order: a label view of ``g._adj``."""
+    return {v: tuple(map(g.nodes.__getitem__, nbrs)) for v, nbrs in zip(g.nodes, g._adj)}
+
+
+def edge_list_adjacency(g: Network) -> dict[str, tuple[str, ...]]:
+    """Each node's neighbour labels in label order, read off ``g.edges``
+    alone: the referee for the constructor's ``_adj``."""
+    nbrs = {v: [] for v in g.nodes}
+    for e in g.edges:
+        nbrs[e.u].append(e.v)
+        nbrs[e.v].append(e.u)
+    return {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
+
+
 def brute_has_avoiding_path(g: Network, a: str, b: str, removed) -> bool:
     """Depth-first reachability from a to b skipping the removed nodes."""
     removed = set(removed)
     if a in removed or b in removed:
         raise ValueError("endpoints cannot be removed")
     seen = set()
+    adj = adjacency(g)
 
     def dfs(v: str) -> bool:
         if v == b:
             return True
         seen.add(v)
         return any(
-            w not in seen and w not in removed and dfs(w) for w in g.adjacency[v]
+            w not in seen and w not in removed and dfs(w) for w in adj[v]
         )
 
     return dfs(a)
@@ -140,7 +156,7 @@ def brute_has_avoiding_path(g: Network, a: str, b: str, removed) -> bool:
 def brute_all_paths(g: Network, a: str, b: str) -> list[Path]:
     """Every simple a-b path, found by scanning interior permutations."""
     interior = [v for v in g.nodes if v != a and v != b]
-    adj = g.adjacency
+    adj = adjacency(g)
     out = []
     for r in range(len(interior) + 1):
         for subset in itertools.combinations(interior, r):
@@ -183,7 +199,7 @@ def backtracking_simple_paths(g: Network, a: str, b: str):
     g.require_node(b)
     if a == b:
         raise ValueError("path endpoints must differ")
-    adj = g.adjacency
+    adj = adjacency(g)
 
     def walk(node, trail, seen):
         for nxt in adj[node]:

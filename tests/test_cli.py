@@ -696,6 +696,36 @@ def test_bad_integer_flag_value_names_the_flag(fixture_cfg, diamond_cfg, capsys,
     assert err.startswith("error:") and flag in err and value in err
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["simulate", "--v", "2.5"], "argument --v:"),
+        (["simulate", "--seed", "x"], "argument --seed:"),
+        (["simulate", "--no-such-flag"], "--no-such-flag"),
+    ],
+    ids=["v", "seed", "unknown"],
+)
+def test_usage_error_exits_1_and_names_the_flag(fixture_cfg, capsys, argv, flag):
+    """A flag argparse refuses exits 1 with one ``error:`` line, like a bad config."""
+    assert cli.main([argv[0], fixture_cfg, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert flag in captured.err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["sweep", "--help"])
+    assert stop.value.code == 0 and "--v-values" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--v-values", "--seeds"])
+def test_empty_sweep_flag_is_refused(diamond_cfg, capsys, flag):
+    """An empty list is refused like any other non-integer, not read as absent."""
+    assert cli.main(["sweep", diamond_cfg, flag, ""]) == 1
+    assert capsys.readouterr().err == f"error: {flag} takes integers, got ''\n"
+
+
 HUGE = 10**400  # past the largest float
 
 

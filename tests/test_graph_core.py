@@ -27,9 +27,11 @@ from helpers import (
     backtracking_simple_paths,
     brute_all_paths,
     brute_has_avoiding_path,
+    adjacency,
     brute_min_vertex_cut,
     connected_masks,
     dict_flow_disjoint_paths,
+    edge_list_adjacency,
     grid_network,
     interior_subsets,
     line_events,
@@ -94,9 +96,23 @@ def test_nodes_and_edges_are_sorted():
 
 def test_neighbors_sorted_and_unknown_node():
     g = demo7_network()
-    assert g.adjacency["c1"] == ("a", "c2", "c4")
+    assert adjacency(g)["c1"] == ("a", "c2", "c4")
     with pytest.raises(UnknownNodeError):
         g.degree("nope")
+
+
+@given(st.integers(1, 12), st.floats(0.0, 0.8), st.randoms(use_true_random=False))
+def test_constructor_adjacency_matches_the_edge_list(n, p, rng):
+    """Random labels, edge ids and densities, isolated nodes included: the
+    index and neighbour lists the constructor builds agree with neighbour
+    lists read off the edges alone."""
+    names = [f"v{k}" for k in rng.sample(range(n), n)]
+    pairs = pair_list(n)
+    ids = rng.sample(range(len(pairs)), len(pairs))
+    links = [(f"e{ids[k]}", names[i], names[j]) for k, (i, j) in enumerate(pairs) if rng.random() < p]
+    g = Network.from_links(links, extra_nodes=names)
+    assert g._index == {v: g.nodes.index(v) for v in names}
+    assert adjacency(g) == edge_list_adjacency(g)
 
 
 def test_edge_between_and_other():
@@ -297,8 +313,11 @@ def test_path_edges_in_maps_hops():
     g = demo7_network()
     p = Path(("a", "c1", "c2", "b"))
     assert [e.id for e in p.edges_in(g)] == ["k1", "k6", "k9"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^path hop 'a'-'c5' has no edge in the network$"):
         Path(("a", "c5")).edges_in(g)
+    # the first missing hop is named, not the first hop nor a later missing one
+    with pytest.raises(ValueError, match="^path hop 'c2'-'c4' has no edge in the network$"):
+        Path(("a", "c1", "c2", "c4", "b")).edges_in(g)
 
 
 # -- disconnection -------------------------------------------------------------

@@ -3,7 +3,7 @@
 The heaviest checks here enumerate every key assignment through the actual
 exchange code and test perfect secrecy empirically from the transcripts,
 then demand agreement with security_oracle's verdicts. That route shares no
-code with the oracle's union-find. Two referees in helpers must agree with
+verdict code with the oracle. Two referees in helpers must agree with
 it verdict for verdict: the GF(2) rank test, on instances of any size, and
 the exhaustive enumeration, which must still refuse what it cannot
 enumerate.
@@ -19,7 +19,7 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
-from qkdnet.graph_core import Network, Path, max_disjoint_paths
+from qkdnet.graph_core import Network, Path, disconnects, max_disjoint_paths
 from qkdnet.security import (
     BROKEN,
     PERFECTLY_SECRET,
@@ -124,19 +124,20 @@ def test_scheme_validate_checks_hops(demo):
 
 # -- step bound: a verdict that loops fails at once -------------------------------
 # (it comes before every other verdict test, so a looping mutant of the
-# union-find fails here in seconds)
+# search or the union-find fails here in seconds)
 
 @pytest.mark.parametrize("share", [0.0, 0.1, 0.3])
 def test_verdict_steps_are_linear_on_a_20x20_grid(share):
-    """An m0 verdict is one pass over the edges and a multipath verdict one
-    pass over the hops, a few line events each plus the root walks, which
-    path halving keeps short: about 4-8 line events per node and edge on
-    this grid, with the paths' hops far fewer than the edges."""
+    """An m0 verdict is one breadth-first search, a few line events per
+    node and neighbour read, and a multipath verdict one pass over the
+    hops, a few line events each plus the root walks, which path halving
+    keeps short: about 4-8 line events per node and edge on this grid,
+    with the paths' hops far fewer than the edges."""
     g = grid_network(20)
     scheme = Scheme(max_disjoint_paths(g, g.alice, g.bob))
     attack = _random_attack(g, Random(20), share)
     budget = 16 * (len(g.nodes) + len(g.edges))
-    steps = [security_oracle, _root, _join]
+    steps = [security_oracle, disconnects, _root, _join]
     for s in ("m0", scheme):
         assert line_events(steps, budget, lambda: security_oracle(g, s, attack))
 
@@ -382,11 +383,10 @@ def test_eve_view_never_contains_clean_keys(demo, demo_scheme):
             assert set(tr.announcements) <= set(view)
 
 
-def test_checks_and_verdicts_never_build_the_neighbour_map(demo_scheme):
-    """Membership reads the network's node and edge-id sets, and a hop's
-    edge is looked up by its end pair, so a verdict, a scheme check, an
-    attack check or a key check builds neither the node index nor the
-    neighbour lists nor their label view, also when the check fails."""
+def test_checks_and_verdicts_leave_the_constructor_maps_unchanged(demo_scheme):
+    """A verdict, a scheme check, an attack check or a key check, also a
+    failing one, leaves the node index, the neighbour lists and the flow
+    store as the constructor built them."""
     full = {e.id: 0 for e in demo7_network().edges}
     calls = [
         lambda g: security_oracle(g, "m0", ["c1", "c4"]),
@@ -405,6 +405,7 @@ def test_checks_and_verdicts_never_build_the_neighbour_map(demo_scheme):
         lambda g: KeyAssignment(1, {"k1": 0}).validate(g),
         lambda g: Scheme.of(("a", "c1", "c5", "b")).validate(g),
     ]
+    built = demo7_network()
     for call in calls + failing:
         g = demo7_network()
         if call in failing:
@@ -412,7 +413,8 @@ def test_checks_and_verdicts_never_build_the_neighbour_map(demo_scheme):
                 call(g)
         else:
             call(g)
-        assert not {"_index", "_adj", "adjacency"} & g.__dict__.keys()
+        for name in ("_index", "_adj", "_flows"):
+            assert vars(g)[name] == vars(built)[name], name
     assert security_oracle(demo7_network(), demo_scheme, ["c1"]) == PERFECTLY_SECRET
 
 
@@ -561,9 +563,9 @@ def test_multipath_oracle_hit_count_on_40x40_grids():
 
 
 def test_m0_oracle_on_a_100x100_grid_is_fast():
-    """About 9-15 ms on a 2-CPU x86 host with the union-find, where the GF(2)
-    rank test over one-hot masks took 53-79 ms. The best of three runs is
-    timed."""
+    """About 3 ms on a 2-CPU x86 host with the search of ``disconnects``,
+    where a union-find over the node labels took 9-15 ms and the GF(2) rank
+    test over one-hot masks 53-79 ms. The best of three runs is timed."""
     g = grid_network(100)
     attack = _random_attack(g, Random(100), 0.1)
     times = []
@@ -659,7 +661,7 @@ def test_m0_oracle_small_random_graphs():
             assert verdict == expected, (n, attack)
 
 
-# -- union-find vs the rank-test and enumeration referees ----------------------------
+# -- the verdict vs the rank-test and enumeration referees ---------------------------
 
 def _assert_agree(g, scheme, attack):
     verdict = security_oracle(g, scheme, attack)
@@ -752,7 +754,7 @@ def test_rank_test_matches_referee_overlapping_paths():
                     _assert_agree(g, Scheme(paths), attack)
 
 
-# -- union-find vs the rank test on random graphs -------------------------------------
+# -- the verdict vs the rank test on random graphs ------------------------------------
 
 def _endpoint_graph(rng, n, shape):
     """A random graph on ``n0``..``n<n-1>`` with alice ``n0`` and bob the
