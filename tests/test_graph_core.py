@@ -24,10 +24,10 @@ from qkdnet.security import demo7_network, min_strongest_attack
 
 from helpers import (
     SortedSplitFlow,
+    adjacency,
     backtracking_simple_paths,
     brute_all_paths,
     brute_has_avoiding_path,
-    adjacency,
     brute_min_vertex_cut,
     connected_masks,
     dict_flow_disjoint_paths,
